@@ -26,10 +26,9 @@ def bits_to_str(bits) -> str:
 
 
 def bits_to_int(bits) -> int:
-    v = 0
-    for b in bits:
-        v = (v << 1) | int(b)
-    return v
+    """Pack a bit sequence into an int, index 0 most significant; O(n)."""
+    b = np.asarray(bits, dtype=np.uint8)
+    return int.from_bytes(np.packbits(b).tobytes(), "big") >> (-len(b) % 8)
 
 
 def int_to_bits(v: int, n: int) -> np.ndarray:

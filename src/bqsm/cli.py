@@ -2,8 +2,9 @@
 
 Every harness in the toolkit is a named registry entry taking typed
 parameters. Outputs embed the full spec and are byte-identical for
-identical specs. Exit codes: 0 success, 2 parameter error, 3 bound
-violation detected (so CI can gate on slack >= 0).
+identical specs. Exit codes: 0 success, 2 parameter, input, capacity or
+promise error (one JSON error line on stderr), 3 bound violation detected
+(so CI can gate on slack >= 0).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
+from .errors import CapacityError, InputError, PromiseViolation
 
 FLOAT_FMT = "{:.12g}"
 
@@ -39,8 +41,14 @@ class ParameterError(Exception):
     pass
 
 
-class BoundViolation(Exception):
-    pass
+def _choose(param: str, value, table: dict):
+    """The entry of a name-keyed choice table; an unknown name is a
+    ParameterError naming the parameter and the choices."""
+    if value not in table:
+        raise ParameterError(
+            f"unknown {param} {value!r}; choose from "
+            + ", ".join(repr(k) for k in table))
+    return table[value]
 
 
 def _fmt(v):
@@ -103,10 +111,10 @@ def _exp_second_relation(seed, n=6, lam=0.12, trials=40, alphabet="bb84"):
     from .qstate import DensityOperator
     from .uncertainty import second_relation_sample
     from .qkd import AEU_BOUND
+    h = _choose("alphabet", alphabet, AEU_BOUND)
     labels = ["+", "x"] if alphabet == "bb84" else ["+", "x", "circ"]
     rec = second_relation_sample(DensityOperator.maximally_mixed(n),
-                                 labels, AEU_BOUND[alphabet], lam, trials,
-                                 seed)
+                                 labels, h, lam, trials, seed)
     rec.pop("thetas")
     rec["per_slice_min"] = min(rec.pop("per_slice_min_entropy"))
     return {"rows": [rec], "violations": 0 if rec["pass"] else 1}
@@ -179,7 +187,8 @@ def _exp_qkd_run(seed, alphabet="bb84", p=0.0, symbols=1000,
              "rep5": lambda: repetition_code(5, p), None: lambda: None,
              "none": lambda: None}
     cfg = QkdConfig(alphabet=alphabet, p=p, symbols=symbols,
-                    margin_bits=margin_bits, code=codes[code](),
+                    margin_bits=margin_bits,
+                    code=_choose("code", code, codes)(),
                     ec_bits_per_symbol=None if code not in (None, "none")
                     else 0.0)
     return {"rows": [run_qkd(cfg, seed)], "violations": 0}
@@ -248,10 +257,11 @@ def _exp_pa_quantum(seed, n=4, q=1, strategy="store_prefix", ell=1):
     from .protocols import breitbart_strategy, measure_fixed, store_prefix
     from .protocols.rabin import rabin_exact_blocks
     from .bits import int_to_str
-    strat = {"store_prefix": lambda: store_prefix(q),
-             "measure_fixed": lambda: measure_fixed(
-                 ["+" if i % 2 == 0 else "x" for i in range(n)]),
-             "breitbart": lambda: breitbart_strategy()}[strategy]()
+    strat = _choose("strategy", strategy, {
+        "store_prefix": lambda: store_prefix(q),
+        "measure_fixed": lambda: measure_fixed(
+            ["+" if i % 2 == 0 else "x" for i in range(n)]),
+        "breitbart": lambda: breitbart_strategy()})()
     xs, us, ps, ops = [], [], [], []
     eye = np.eye(1 << strat.memory_qubits(n), dtype=complex) \
         / (1 << strat.memory_qubits(n))
@@ -376,9 +386,10 @@ def _exp_splitting(seed, trials=1000, n0=3, n1=3):
 
 def _exp_ot_uot(seed, n=6, ell=1, kappa=0.5, channel="xor"):
     from .classical_ot import UotChannel, reduce_ot_from_uot
-    ch = {"xor": lambda: UotChannel.xor(n),
-          "honest0": lambda: UotChannel.honest(n, 0),
-          "erasure": lambda: UotChannel.erasure(min(n, 3))}[channel]()
+    ch = _choose("channel", channel, {
+        "xor": lambda: UotChannel.xor(n),
+        "honest0": lambda: UotChannel.honest(n, 0),
+        "erasure": lambda: UotChannel.erasure(min(n, 3))})()
     rec = reduce_ot_from_uot(ch.n, ell, kappa, ch, force=True)
     rec.pop("worst_beta", None)
     bad = 0 if (not rec["promise_ok"]) or rec["pass"] else 1
@@ -462,10 +473,11 @@ def _exp_purification(seed, n=6):
 def _exp_binding(seed, n=10, q=1, strategy="store_prefix", mode="weak"):
     from .protocols import (binding_experiment, breitbart_strategy,
                             full_memory, store_prefix)
-    committer = {"store_prefix": lambda: store_prefix(q),
-                 "breitbart": lambda: breitbart_strategy(),
-                 "full_memory": lambda: full_memory(),
-                 "superposition": lambda: "superposition"}[strategy]()
+    committer = _choose("strategy", strategy, {
+        "store_prefix": lambda: store_prefix(q),
+        "breitbart": lambda: breitbart_strategy(),
+        "full_memory": lambda: full_memory(),
+        "superposition": lambda: "superposition"})()
     rec = binding_experiment(committer, n, mode=mode)
     return {"rows": [rec], "violations": 0 if rec["bound_ok"] else 1}
 
@@ -474,8 +486,9 @@ def _exp_sender_security(seed, protocol="rabin", n=5, q=1, ell=1,
                          strategy="store_prefix"):
     from .protocols import (breitbart_strategy, sender_security_distance,
                             store_prefix)
-    strat = {"store_prefix": lambda: store_prefix(q),
-             "breitbart": lambda: breitbart_strategy()}[strategy]()
+    strat = _choose("strategy", strategy, {
+        "store_prefix": lambda: store_prefix(q),
+        "breitbart": lambda: breitbart_strategy()})()
     rec = sender_security_distance(strat, protocol, n, ell)
     return {"rows": [rec], "violations": 0 if rec["pass"] else 1}
 
@@ -485,8 +498,9 @@ def _exp_receiver_security(seed, n=3, sender="honest"):
     from .protocols.security import (entangled_rabin_sender,
                                      garbage_rabin_sender,
                                      honest_rabin_sender)
-    maker = {"honest": honest_rabin_sender, "garbage": garbage_rabin_sender,
-             "entangled": entangled_rabin_sender}[sender]
+    maker = _choose("sender", sender, {
+        "honest": honest_rabin_sender, "garbage": garbage_rabin_sender,
+        "entangled": entangled_rabin_sender})
     rows, violations = [], 0
     for protocol in ("rabin", "ot12"):
         rec = receiver_security_witness(maker(n, seed), protocol, n)
@@ -685,7 +699,8 @@ def main(argv=None) -> int:
             spec = ExperimentSpec(args.experiment, params, args.seed,
                                   args.out, args.format)
         result = run(spec)
-    except ParameterError as exc:
+    except (ParameterError, CapacityError, InputError,
+            PromiseViolation) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
     _emit(result, spec)

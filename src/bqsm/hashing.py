@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import parity, parity_u64
+from .bits import bits_to_int, parity, parity_u64
 from .errors import CapacityError, InputError
 
 ENUM_CAP = 1 << 20
@@ -96,17 +96,12 @@ class HashFamily:
         if self.size <= 1 << 62:
             return self.member(int(rng.integers(self.size)))
         # row-wise sampling for families too large to index
-        rows = []
-        for _ in range(self.ell):
-            bits = rng.integers(0, 2, self.n)
-            rows.append(sum(int(b) << (self.n - 1 - i)
-                            for i, b in enumerate(bits)))
+        rows = tuple(bits_to_int(rng.integers(0, 2, self.n))
+                     for _ in range(self.ell))
         offset = None
         if self.kind == "affine":
-            obits = rng.integers(0, 2, self.ell)
-            offset = sum(int(b) << (self.ell - 1 - i)
-                         for i, b in enumerate(obits))
-        return HashMember(tuple(rows), offset)
+            offset = bits_to_int(rng.integers(0, 2, self.ell))
+        return HashMember(rows, offset)
 
     def members(self):
         if self.size > ENUM_CAP:
@@ -320,13 +315,8 @@ def gf2_matvec_stream(seed: int, ell: int, x_bits: np.ndarray) -> np.ndarray:
     words = (m + 63) // 64
     padded = np.zeros(words * 64, dtype=np.uint8)
     padded[:m] = x_bits
-    x_packed = np.zeros(words, dtype=np.uint64)
-    for w in range(words):
-        chunk = padded[w * 64:(w + 1) * 64]
-        val = 0
-        for b in chunk:
-            val = (val << 1) | int(b)
-        x_packed[w] = val
+    x_packed = np.frombuffer(bits_to_int(padded).to_bytes(words * 8, "big"),
+                             dtype=">u8").astype(np.uint64)
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, 1 << 63, size=(ell, words), dtype=np.uint64)
     rows = (rows << np.uint64(1)) | rng.integers(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CapacityError, InputError
-from ..qstate import SINGLE_QUBIT_BASES, bell_basis
+from ..qstate import SINGLE_QUBIT_BASES, bell_basis, product_basis_matrix
 
 DENSE_CAP = 12
 
@@ -183,18 +183,11 @@ def epr_blocks_dense(n: int, strategy: AdversaryStrategy) -> DenseBlocks:
     return DenseBlocks(n, q, ys, np.asarray(probs), amps)
 
 
-def _product_basis_matrix(theta) -> np.ndarray:
-    m = np.array([[1.0 + 0j]])
-    for lab in theta:
-        m = np.kron(m, SINGLE_QUBIT_BASES[lab])
-    return m
-
-
 def sender_measurement_dense(blocks: DenseBlocks, theta):
     """Measure the sender register of every y-block in the per-qubit basis
     theta. Yields (y, prob_y, p_x_given_y, kept_ops) where kept_ops[x] is
     the normalized retained-register state (None when p_x = 0)."""
-    v = _product_basis_matrix(theta)
+    v = product_basis_matrix(theta)
     vd = v.conj().T
     for y, p_y, amp in zip(blocks.ys, blocks.probs, blocks.amps):
         c = vd @ amp                      # (2^n, 2^q)
@@ -227,7 +220,7 @@ def direct_blocks_dense(n: int, strategy: AdversaryStrategy, theta):
     k_idx = np.zeros(1 << total, dtype=np.int64)
     for pos, w in enumerate(kept):
         k_idx |= ((m >> (total - 1 - w)) & 1) << (q - 1 - pos)
-    v = _product_basis_matrix(theta)
+    v = product_basis_matrix(theta)
     for x in range(1 << n):
         vec = np.zeros(1 << total, dtype=complex)
         vec[np.arange(1 << n) << anc] = v[:, x]

@@ -1,11 +1,17 @@
 """Weak quantum channel abstraction: bit flips and multi-qubit emissions,
-with dark counts and empty pulses folded into the two effective parameters."""
+with dark counts and empty pulses folded into the two effective parameters.
+
+Also the honest path every protocol shares: honest parties measure on
+arrival, so each outcome is one classical draw and runs scale to
+`HONEST_CAP` qubits."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import InputError
+import numpy as np
+
+from ..errors import CapacityError, InputError
 
 
 def effective_weak_parameters(phi_x: float, eta_mq: float,
@@ -52,3 +58,23 @@ class ChannelModel:
 
 
 PERFECT = ChannelModel()
+
+
+HONEST_CAP = 100_000
+
+
+def check_honest_cap(value: int, param: str = "n"):
+    """Refuse an honest run longer than HONEST_CAP, naming the parameter."""
+    if value > HONEST_CAP:
+        raise CapacityError(f"{param}={value} exceeds the honest-path cap "
+                            f"{HONEST_CAP}; lower {param}")
+
+
+def honest_outcomes(rng, x: np.ndarray, match, phi: float) -> np.ndarray:
+    """Honest measurement of the BB84 qubits |x_i>: positions measured in
+    the preparation basis (match) return x_i flipped with probability phi,
+    the others a fair coin. Draws n flip uniforms, then n coins."""
+    n = len(x)
+    flips = rng.random(n) < phi
+    return np.where(match, x ^ flips,
+                    rng.integers(0, 2, size=n)).astype(np.uint8)

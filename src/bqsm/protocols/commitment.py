@@ -20,12 +20,14 @@ import numpy as np
 
 from ..bits import bits_to_str
 from ..entropy import hamming_ball_size
-from ..errors import CapacityError, InputError
+from ..errors import CapacityError, InputError, PromiseViolation
+from ..uncertainty import event_from_distributions
 from .adversary import AdversaryStrategy, product_factors
-from .channel import ChannelModel
+from .channel import ChannelModel, check_honest_cap, honest_outcomes
+from .security import _pick_lambda
 from .transcript import ProtocolTranscript
 
-HONEST_CAP = 100_000
+BINDING_CAP = 16
 
 
 def run_commitment(b: int, channel: ChannelModel, committer, n: int,
@@ -36,8 +38,7 @@ def run_commitment(b: int, channel: ChannelModel, committer, n: int,
     if committer != "honest":
         raise InputError("adversarial committers go through "
                          "binding_experiment")
-    if n > HONEST_CAP:
-        raise CapacityError(f"honest path capped at n={HONEST_CAP}")
+    check_honest_cap(n)
     phi, _ = channel.effective()
     if variant == "comm":
         tol = 0.0
@@ -51,8 +52,7 @@ def run_commitment(b: int, channel: ChannelModel, committer, n: int,
     theta = np.where(rng.integers(0, 2, size=n) == 0, "+", "x")
     basis_b = "+" if b == 0 else "x"
     match = theta == basis_b
-    flips = (rng.random(n) < phi).astype(np.uint8)
-    x_meas = np.where(match, x ^ flips, rng.integers(0, 2, size=n))
+    x_meas = honest_outcomes(rng, x, match, phi)
     tr.say("C", "open", {"b": b, "x_prime": bits_to_str(x_meas)})
     checked = match
     mism = int((x[checked] != x_meas[checked]).sum())
@@ -143,48 +143,43 @@ def _binding_bound_slack(strategy, n, q, delta_grid) -> float:
     slack = 2^{-kappa n} + sum_b q^b (ballbound_b + 2^{-(radius+1)}),
     instantiated from the event construction and the exact conditional
     min-entropies of the committer's view."""
+    ec = _binding_event(strategy, n)
+    if ec is None:
+        return math.inf
     best = math.inf
     for delta in delta_grid:
         radius = int(math.floor(delta * n))
         ball, _ = hamming_ball_size(n, radius)
-        ec, h_cond = _event_and_entropy(strategy, n)
-        if ec is None:
-            continue
-        slack = 2.0 ** (-ec["kappa"] * n)
-        ok = True
-        for b in (0, 1):
-            q_b = ec["prob"][b]
+        slack = 2.0 ** (-ec.kappa * n)
+        for q_b, h in ((ec.prob_plus, ec.h_plus),
+                       (ec.prob_times, ec.h_times)):
             if q_b <= 0:
                 continue
-            h = h_cond[b]
-            if h is None:
-                ok = False
-                break
             ballbound = 2.0 ** (-0.5 * (h - q - 1) + math.log2(ball))
             slack += q_b * (min(ballbound, 1.0) + 2.0 ** (-(radius + 1)))
-        if ok:
-            best = min(best, slack)
+        best = min(best, slack)
     return best
 
 
-def _event_and_entropy(strategy, n):
-    """Per-basis event from the uncertainty relation applied to the
-    committer's conditional outcome distribution, with the conditional
-    min-entropy H_inf(X | Y=y, E, basis) per branch.
+def _binding_event(strategy, n):
+    """Event construction of the uncertainty relation applied to the
+    committer's conditional outcome distribution per opening basis (plus
+    branch: b=0, times branch: b=1), or None when no kappa satisfies the
+    event obligations.
 
     For the implemented product strategies the conditional of X given the
     outcome string y is a product whose per-qubit factors are row
     permutations of each other across y values, so event probability and
     conditional entropy are the same for every y; one canonical y suffices
-    and the per-y analysis is exact. The kappa parameter is searched
-    downward until the event obligations hold.
+    and the per-y analysis is exact.
     """
-    if n > 16:
-        raise CapacityError("binding audit enumerates 2^n outcome strings")
+    if n > BINDING_CAP:
+        raise CapacityError(f"n={n} exceeds the binding-audit cap "
+                            f"{BINDING_CAP} (the audit enumerates 2^n "
+                            "outcome strings); lower n")
     factors = product_factors(n, strategy)
-    lam = _pick_lambda(strategy, n)
-    vecs = {}
-    for b, basis_b in ((0, "+"), (1, "x")):
+    vecs = []
+    for basis_b in ("+", "x"):
         q_vec = np.array([1.0])
         for f in factors:
             if f.kept:
@@ -196,29 +191,9 @@ def _event_and_entropy(strategy, n):
                                      "outcome-symmetric")
                 row = t[0] / t[0].sum()
             q_vec = np.kron(q_vec, row)
-        vecs[b] = q_vec
-    kappa = (0.5 - lam) / 4.0
-    for _ in range(40):
-        thresh = 2.0 ** (-(lam + kappa) * n)
-        probs, h_cond = {}, {}
-        for b in (0, 1):
-            keep = vecs[b] <= thresh
-            p = float(vecs[b][keep].sum())
-            h = None
-            if p > 0:
-                h = -math.log2(vecs[b][keep].max() / p)
-                if h < lam * n - 1e-12:
-                    p, h = 0.0, None
-            probs[b], h_cond[b] = p, h
-        if probs[0] + probs[1] >= 1.0 - 2.0 ** (-kappa * n) - 1e-12:
-            return {"kappa": kappa, "lam": lam, "prob": probs}, h_cond
-        kappa /= 2.0
-    return None, None
-
-
-def _pick_lambda(strategy, n) -> float:
-    q = strategy.memory_qubits(n)
-    gamma = q / n
-    if gamma >= 0.5:
-        return 0.49
-    return min(0.49, (gamma + 0.5) / 2.0)
+        vecs.append(q_vec)
+    lam = _pick_lambda(strategy.memory_qubits(n), n)
+    try:
+        return event_from_distributions(vecs[0], vecs[1], lam, n)
+    except PromiseViolation:
+        return None

@@ -10,13 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..bits import bits_to_str
-from ..errors import CapacityError, InputError
+from ..errors import InputError
 from ..hashing import HashFamily, pad_substring
-from .channel import ChannelModel
+from .channel import ChannelModel, check_honest_cap, honest_outcomes
 from .codes import LinearCode
 from .transcript import ProtocolTranscript
-
-HONEST_CAP = 100_000
 
 
 def run_ot12(c: int, channel: ChannelModel, receiver, n: int, ell: int,
@@ -32,34 +30,28 @@ def run_ot12(c: int, channel: ChannelModel, receiver, n: int, ell: int,
     if receiver != "honest":
         raise InputError(
             "adversarial 1-2 OT runs go through sender_security_distance")
-    if n > HONEST_CAP:
-        raise CapacityError(f"honest path capped at n={HONEST_CAP}")
+    check_honest_cap(n)
     phi, _ = channel.effective()
     rng = np.random.default_rng(seed)
     tr = ProtocolTranscript(f"ot12_{direction}", seed, n)
     theta = np.where(rng.integers(0, 2, size=n) == 0, "+", "x")
     x = rng.integers(0, 2, size=n, dtype=np.uint8)
+    match = theta == ("+" if c == 0 else "x")
     if direction == "standard":
         # receiver measures everything in basis [+,x]_c
-        basis_c = "+" if c == 0 else "x"
-        match = theta == basis_c
-        flips = (rng.random(n) < phi).astype(np.uint8)
-        x_rec = np.where(match, x ^ flips, rng.integers(0, 2, size=n))
+        x_rec = honest_outcomes(rng, x, match, phi)
     elif direction == "reversed":
         # receiver sends |x'>_{[+,x]_c}; sender measures in random theta;
         # positions with theta_i = basis_c agree up to channel flips
-        basis_c = "+" if c == 0 else "x"
-        x_rec = x.copy()          # receiver knows what it sent
-        match = theta == basis_c
-        flips = (rng.random(n) < phi).astype(np.uint8)
-        x = np.where(match, x_rec ^ flips, rng.integers(0, 2, size=n))
+        x_rec = x                 # receiver knows what it sent
+        x = honest_outcomes(rng, x_rec, match, phi)
     else:
         raise InputError(f"unknown direction {direction!r}")
     idx0 = np.nonzero(theta == "+")[0]
     idx1 = np.nonzero(theta == "x")[0]
     fam = HashFamily(n, ell, "linear")
-    m0 = fam.member(int(rng.integers(fam.size)))
-    m1 = fam.member(int(rng.integers(fam.size)))
+    m0 = fam.sample(rng)
+    m1 = fam.sample(rng)
     x_str = bits_to_str(x)
     pad0 = pad_substring(x_str, idx0)
     pad1 = pad_substring(x_str, idx1)
@@ -79,7 +71,7 @@ def run_ot12(c: int, channel: ChannelModel, receiver, n: int, ell: int,
     tr.say("S", "announce", announce)
     # receiver output
     idx_c = idx0 if c == 0 else idx1
-    rec_bits = x_rec[idx_c].astype(np.uint8)
+    rec_bits = x_rec[idx_c]
     decode_ok = True
     if code is not None and len(idx_c):
         syn_c = syn[c]

@@ -12,17 +12,16 @@ import math
 
 import numpy as np
 
-from ..bits import bits_to_str
-from ..errors import CapacityError, InputError
+from ..bits import bits_to_int, bits_to_str
+from ..errors import InputError
 from ..hashing import HashFamily
 from .adversary import (AdversaryStrategy, bell_pairwise_xor,
                         direct_blocks_dense, epr_blocks_dense,
                         product_factors, sender_measurement_dense)
-from .channel import ChannelModel, PERFECT
+from .channel import (ChannelModel, PERFECT, check_honest_cap,
+                      honest_outcomes)
 from .codes import LinearCode
 from .transcript import ProtocolTranscript
-
-HONEST_CAP = 100_000
 
 BELL_XOR = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}  # phi+,psi+,phi-,psi-
 
@@ -44,14 +43,8 @@ def run_rabin_ot(b: int, channel: ChannelModel, receiver, n: int, seed: int,
     return _rabin_adversarial(b, channel, receiver, n, seed, mask)
 
 
-def _sample_mask_member(fam: HashFamily, rng):
-    member = fam.sample(rng)
-    return member.to_hex(), member
-
-
 def _rabin_honest(b, channel, n, seed, mask) -> ProtocolTranscript:
-    if n > HONEST_CAP:
-        raise CapacityError(f"honest path capped at n={HONEST_CAP}")
+    check_honest_cap(n)
     phi, _ = channel.effective()
     rng = _rng(seed)
     tr = ProtocolTranscript("rabin_ot", seed, n)
@@ -59,18 +52,14 @@ def _rabin_honest(b, channel, n, seed, mask) -> ProtocolTranscript:
     r = "+" if rng.integers(2) == 0 else "x"
     tr.say("S", "qubits", f"|x>_{r}")
     r_prime = "+" if rng.integers(2) == 0 else "x"
-    if r_prime == r:
-        flips = (rng.random(n) < phi).astype(np.uint8)
-        x_meas = x ^ flips
-    else:
-        x_meas = rng.integers(0, 2, size=n, dtype=np.uint8)
+    x_meas = honest_outcomes(rng, x, r_prime == r, phi)
     fam = HashFamily(n, 1, "linear")
     if mask == "hash":
-        f_idx, member = _sample_mask_member(fam, rng)
-        fx = fam.eval(member, int(bits_to_str(x), 2))
+        member = fam.sample(rng)
+        fx = fam.eval(member, bits_to_int(x))
         f_desc = member.to_hex()
     elif mask == "xor":
-        f_idx, f_desc = None, "xor"
+        f_desc = "xor"
         fx = int(x.sum() % 2)
     else:
         raise InputError(f"unknown mask {mask!r}")
@@ -79,7 +68,7 @@ def _rabin_honest(b, channel, n, seed, mask) -> ProtocolTranscript:
     if r_prime == r:
         a = 1
         if mask == "hash":
-            y = e ^ fam.eval(member, int(bits_to_str(x_meas), 2))
+            y = e ^ fam.eval(member, bits_to_int(x_meas))
         else:
             y = e ^ int(x_meas.sum() % 2)
     else:
@@ -97,7 +86,7 @@ def _rabin_adversarial(b, channel, strategy: AdversaryStrategy, n, seed,
     tr = ProtocolTranscript("rabin_ot", seed, n, str(strategy))
     x = rng.integers(0, 2, size=n, dtype=np.uint8)
     r = "+" if rng.integers(2) == 0 else "x"
-    x_int = int(bits_to_str(x), 2)
+    x_int = bits_to_int(x)
     theta = [r] * n
     # phase 1-2: adversary compresses and measures
     for xi, p_y, _ in direct_blocks_dense(n, strategy, theta):
@@ -108,7 +97,7 @@ def _rabin_adversarial(b, channel, strategy: AdversaryStrategy, n, seed,
             break
     fam = HashFamily(n, 1, "linear")
     if mask == "hash":
-        f_idx, member = _sample_mask_member(fam, rng)
+        member = fam.sample(rng)
         fx = fam.eval(member, x_int)
         f_desc = member.to_hex()
     else:
@@ -140,8 +129,7 @@ def _canonical_guess(strategy, n, r, y, member, fam, e, mask, x_true):
         for pair in range(n // 2):
             outcome = (y >> (2 * (n // 2 - 1 - pair))) & 3
             bits += [0, BELL_XOR[outcome][ridx]]
-        xhat = int(bits_to_str(np.array(bits)), 2)
-        return e ^ fam.eval(member, xhat)
+        return e ^ fam.eval(member, bits_to_int(bits))
     # product strategies: per-qubit posterior given theta_i = r
     plan = strategy.product_plan(n)
     factors = product_factors(n, strategy)
@@ -157,10 +145,9 @@ def _canonical_guess(strategy, n, r, y, member, fam, e, mask, x_true):
             m_pos += 1
             table = factors[i].p_yx[r]
             bits.append(int(np.argmax(table[y_i])))
-    xhat = int(bits_to_str(np.array(bits)), 2)
     if mask == "xor":
         return e ^ (sum(bits) % 2)
-    return e ^ fam.eval(member, xhat)
+    return e ^ fam.eval(member, bits_to_int(bits))
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +267,14 @@ def run_bb84_rabin_ot(b: int, channel: ChannelModel, receiver, n: int,
     rng = _rng(seed)
     if receiver != "honest":
         return _bb84_adversarial(b, channel, receiver, n, code, seed)
-    if n > HONEST_CAP:
-        raise CapacityError(f"honest path capped at n={HONEST_CAP}")
+    check_honest_cap(n)
     tr = ProtocolTranscript("bb84_rabin_ot", seed, n)
     x = rng.integers(0, 2, size=n, dtype=np.uint8)
     theta = np.where(rng.integers(0, 2, size=n) == 0, "+", "x")
     # emissions are irrelevant to the honest receiver but recorded
     emitted_multi = rng.random(n) < eta
     r_prime = "+" if rng.integers(2) == 0 else "x"
-    match = theta == r_prime
-    flips = (rng.random(n) < phi).astype(np.uint8)
-    x_meas = np.where(match, x ^ flips, rng.integers(0, 2, size=n))
+    x_meas = honest_outcomes(rng, x, theta == r_prime, phi)
     r = "+" if rng.integers(2) == 0 else "x"
     idx = np.nonzero(theta == r)[0]
     ell = len(idx)
@@ -299,14 +283,14 @@ def run_bb84_rabin_ot(b: int, channel: ChannelModel, receiver, n: int,
         return tr
     syn = code.syndrome_chunked(x[idx])
     fam = HashFamily(ell, 1, "linear")
-    f_idx, member = _sample_mask_member(fam, rng)
-    e = b ^ fam.eval(member, int(bits_to_str(x[idx]), 2))
+    member = fam.sample(rng)
+    e = b ^ fam.eval(member, bits_to_int(x[idx]))
     tr.say("S", "announce", {"r": r, "I": idx.tolist(),
                              "syn": syn.tolist(), "f": member.to_hex(),
                              "e": e})
     if r_prime == r:
-        decoded = code.decode_chunked(x_meas[idx].astype(np.uint8), syn)
-        y = e ^ fam.eval(member, int(bits_to_str(decoded), 2))
+        decoded = code.decode_chunked(x_meas[idx], syn)
+        y = e ^ fam.eval(member, bits_to_int(decoded))
         a = 1
         decode_ok = bool(np.array_equal(decoded, x[idx]))
     else:

@@ -18,7 +18,8 @@ from ..cqstate import CqState, pa_distance
 from ..entropy import JointDistribution, smooth_min_entropy
 from ..errors import CapacityError, InputError
 from ..hashing import HashFamily
-from ..qstate import SINGLE_QUBIT_BASES, batched_trace_norm, trace_norm
+from ..qstate import (SINGLE_QUBIT_BASES, batched_trace_norm,
+                      product_basis_matrix, trace_norm)
 from ..uncertainty import event_from_distributions, genrel_epsilon
 from .adversary import (AdversaryStrategy, direct_blocks_dense,
                         epr_blocks_dense, product_factors,
@@ -148,10 +149,7 @@ def _basis_matrix(label_or_string, n: int) -> np.ndarray:
     else:
         labels = list(label_or_string) if len(label_or_string) == n \
             else [label_or_string] * n
-    m = np.array([[1.0 + 0j]])
-    for lab in labels:
-        m = np.kron(m, SINGLE_QUBIT_BASES[lab])
-    return m
+    return product_basis_matrix(labels)
 
 
 def _rabin_witness(branches, n: int) -> dict:
@@ -344,7 +342,7 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
     split_floor = math.inf
     dist = 0.0
     f_range = np.arange(nf)
-    kap = _bits_value(n, kept_idx)
+    kap = _part_value(n, kept_idx)
     for (t_idx, y), m in zip(slices, cols):
         theta = theta_strings[t_idx]
         i0 = [i for i in range(n) if theta[i] == "+"]
@@ -417,14 +415,6 @@ def _part_value(n, idx) -> np.ndarray:
 def _pad_index(n, idx) -> np.ndarray:
     """Packed value of (x restricted to idx, zero-padded to n bits)."""
     return _part_value(n, idx) << (n - len(idx))
-
-
-def _bits_value(n, idx) -> np.ndarray:
-    out = np.zeros(1 << n, dtype=np.int64)
-    x = np.arange(1 << n)
-    for pos, i in enumerate(idx):
-        out |= ((x >> (n - 1 - i)) & 1) << (len(idx) - 1 - pos)
-    return out
 
 
 def _kept_ops(theta, kept_idx) -> np.ndarray:

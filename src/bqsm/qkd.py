@@ -15,15 +15,15 @@ import numpy as np
 
 from .bits import bits_to_str, int_to_str
 from .cqstate import CqState, pa_distance
-from .entropy import binary_entropy, shannon_entropy
+from .entropy import binary_entropy, inverse_binary_entropy
 from .errors import CapacityError, InputError
 from .hashing import HashFamily, gf2_matvec_stream
+from .protocols.channel import check_honest_cap, honest_outcomes
 from .protocols.codes import LinearCode
-from .qstate import SINGLE_QUBIT_BASES, haar_unitary
+from .qstate import SINGLE_QUBIT_BASES
 
 ALPHABETS = {"bb84": ("+", "x"), "six-state": ("+", "x", "circ")}
 AEU_BOUND = {"bb84": 0.5, "six-state": 2.0 / 3.0}
-HONEST_CAP = 100_000
 
 
 @dataclass
@@ -62,17 +62,11 @@ def binary_rate(h: float, p: float) -> float:
 
 
 def noise_threshold(h: float) -> float:
-    """The unique p < 1/2 with h(p) = h, by bisection to 1e-6."""
+    """The unique p < 1/2 with h(p) = h: the noise level at which the
+    binary-channel rate h - h(p) reaches zero."""
     if not 0 < h <= 1:
         raise InputError("h must lie in (0, 1]")
-    lo, hi = 0.0, 0.5
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < h:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return inverse_binary_entropy(h)
 
 
 def overall_bound(d: int) -> float:
@@ -86,19 +80,22 @@ def overall_bound(d: int) -> float:
 def overall_bound_mc(d: int, samples: int, seed: int
                      ) -> tuple[float, float]:
     """Monte Carlo estimate: draw Haar-random bases, measure a fixed pure
-    state, average the Shannon entropy; returns (estimate, stderr)."""
+    state, average the Shannon entropy; returns (estimate, stderr).
+
+    The outcome amplitudes of a fixed state in a Haar-random basis are a
+    uniformly random unit vector, so each sample is one normalised
+    complex-Gaussian draw of length d."""
     rng = np.random.default_rng(seed)
     vals = np.empty(samples)
-    state = np.zeros(d, dtype=complex)
-    state[0] = 1.0
     batch = max(1, min(samples, 20000))
     done = 0
     while done < samples:
         count = min(batch, samples - done)
-        for i in range(count):
-            u = haar_unitary(d, rng)
-            probs = np.abs(u.conj().T @ state) ** 2
-            vals[done + i] = shannon_entropy(probs / probs.sum())
+        g = rng.normal(size=(count, d)) + 1j * rng.normal(size=(count, d))
+        probs = np.abs(g) ** 2
+        probs /= probs.sum(axis=1, keepdims=True)
+        logs = np.log2(probs, where=probs > 0, out=np.zeros_like(probs))
+        vals[done:done + count] = -(probs * logs).sum(axis=1)
         done += count
     est = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples))
@@ -116,8 +113,7 @@ def key_length(config: QkdConfig, sifted: int) -> int:
 def run_qkd(config: QkdConfig, seed: int) -> dict:
     """Honest execution of the one-way protocol; returns sifted strings,
     syndrome, final keys and a transcript-style record."""
-    if config.symbols > HONEST_CAP:
-        raise CapacityError(f"honest path capped at {HONEST_CAP} symbols")
+    check_honest_cap(config.symbols, "symbols")
     rng = np.random.default_rng(seed)
     labels = ALPHABETS[config.alphabet]
     k = len(labels)
@@ -125,11 +121,10 @@ def run_qkd(config: QkdConfig, seed: int) -> dict:
     theta_a = rng.integers(0, k, size=n)
     theta_b = rng.integers(0, k, size=n)
     x = rng.integers(0, 2, size=n, dtype=np.uint8)
-    flips = (rng.random(n) < config.p).astype(np.uint8)
     match = theta_a == theta_b
-    y = np.where(match, x ^ flips, rng.integers(0, 2, size=n))
+    y = honest_outcomes(rng, x, match, config.p)
     sift = np.nonzero(match)[0]
-    xs, ys = x[sift], y[sift].astype(np.uint8)
+    xs, ys = x[sift], y[sift]
     m = len(sift)
     record = {"symbols": n, "sifted": m, "sift_rate": m / n,
               "alphabet": config.alphabet}

@@ -234,16 +234,21 @@ def single_qubit_basis(label: str) -> Basis:
     return Basis(label, SINGLE_QUBIT_BASES[label])
 
 
+def product_basis_matrix(labels) -> np.ndarray:
+    """Columns |x>_labels of a tensor product of single-qubit bases, given
+    as labels or Basis objects; no orthonormality check."""
+    m = np.array([[1.0 + 0j]])
+    for lab in labels:
+        m = np.kron(m, SINGLE_QUBIT_BASES[lab] if isinstance(lab, str)
+                    else lab.matrix)
+    return m
+
+
 def product_basis(labels) -> Basis:
     """Tensor product of single-qubit bases, e.g. ['+', 'x', '+']."""
-    mats = [SINGLE_QUBIT_BASES[lab] if isinstance(lab, str) else lab.matrix
-            for lab in labels]
-    m = mats[0]
-    for factor in mats[1:]:
-        m = np.kron(m, factor)
     label = "".join(lab if isinstance(lab, str) else lab.label
                     for lab in labels)
-    return Basis(label, m)
+    return Basis(label, product_basis_matrix(labels))
 
 
 def standard_basis_set(kind: str, n: int) -> BasisSet:

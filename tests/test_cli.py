@@ -73,6 +73,26 @@ class TestProcessInterface:
         assert a.stdout == b.stdout
         assert a.stdout.startswith("alphabet,")
 
+    @pytest.mark.parametrize("params, code, named", [
+        (("binding", "n=40"), 2, "n=40"),
+        (("rabin-honest", "n=100001", "runs=1"), 2, "n=100001"),
+        (("pa-quantum", "strategy=nope"), 2, "strategy"),
+        (("qkd-run", "symbols=200000"), 2, "symbols=200000"),
+        (("ot12-honest", "n=100001", "runs=1"), 2, "n=100001"),
+        # past one machine word the member draw no longer overflows
+        (("ot12-honest", "n=80", "runs=1"), 0, None),
+    ])
+    def test_library_errors_exit_2_with_json(self, params, code, named):
+        exp, *kvs = params
+        args = ["-e", exp, "--seed", "1"]
+        for kv in kvs:
+            args += ["-p", kv]
+        res = run_cli(*args)
+        assert res.returncode == code
+        assert "Traceback" not in res.stderr
+        if named is not None:
+            assert named in json.loads(res.stderr.splitlines()[-1])["error"]
+
     def test_bound_violation_exit_code(self, tmp_path, monkeypatch):
         # a synthetic failing experiment exercises the CI gate
         from bqsm import cli as climod

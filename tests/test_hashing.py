@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from bqsm.bits import bits_to_int, bits_to_str
 from bqsm.errors import CapacityError, InputError
 from bqsm.hashing import (ComposedFamily, HashFamily, HashMember, NDLF,
                           _pair_histogram_uniform, compose_balanced,
@@ -66,6 +68,37 @@ class TestHashFamily:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             list(HashFamily(8, 4, "linear").members())
+
+    def test_sample_draws_the_indexed_member(self):
+        # sampling by index and by rows must agree wherever the family is
+        # small enough to index, so fixed seeds give the same members
+        for kind, extra in (("linear", 0), ("affine", 1)):
+            for ell in range(1, 63):
+                for n in range(1, 62 // ell + 1 - extra):
+                    fam = HashFamily(n, ell, kind)
+                    rng = np.random.default_rng([n, ell])
+                    want = fam.member(int(rng.integers(fam.size)))
+                    assert fam.sample(np.random.default_rng([n, ell])) \
+                        == want
+
+    def test_sample_beyond_index_range(self):
+        fam = HashFamily(100, 3, "affine")
+        member = fam.sample(np.random.default_rng(4))
+        assert len(member.rows) == 3
+        assert all(0 <= r < 1 << 100 for r in member.rows)
+        assert 0 <= member.offset < 8
+
+
+class TestBitPacking:
+    @given(st.lists(st.integers(0, 1), max_size=200))
+    @example([])
+    @example([1] * 63)
+    @example([1] + [0] * 63)
+    @example([1, 0] * 32 + [1])
+    def test_bits_to_int_matches_string_parse(self, bits):
+        assert bits_to_int(bits) == int(bits_to_str(bits) or "0", 2)
+        assert bits_to_int(np.array(bits, dtype=np.uint8)) \
+            == bits_to_int(bits)
 
 
 class TestPadSubstring:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bqsm.errors import InputError
+from bqsm.errors import CapacityError, InputError
 from bqsm.protocols import (ChannelModel, LinearCode, binding_experiment,
                             bell_pairwise_xor, bell_xor_attack,
                             breitbart_attack, breitbart_strategy,
@@ -16,11 +16,12 @@ from bqsm.protocols import (ChannelModel, LinearCode, binding_experiment,
                             run_bb84_rabin_ot, run_commitment, run_ot12,
                             run_rabin_ot, random_code,
                             sender_security_distance, store_prefix)
-from bqsm.protocols.channel import PERFECT
+from bqsm.protocols.channel import HONEST_CAP, PERFECT
 from bqsm.protocols.commitment import opening_success
 from bqsm.protocols.security import (entangled_rabin_sender,
                                      garbage_rabin_sender,
                                      honest_rabin_sender)
+from bqsm.qkd import QkdConfig, run_qkd
 
 
 class TestChannelModel:
@@ -172,6 +173,63 @@ class TestHonestRuns:
         d = run_ot12(0, PERFECT, "honest", 8, 1, 5).to_json()
         assert c == d
         assert json.loads(a)["seed"] == 99
+
+
+def _honest_rabin(n, seed):
+    h = run_rabin_ot(seed & 1, PERFECT, "honest", n, seed).honest
+    return h["a"] == 0 or h["y"] == h["b"]
+
+
+def _honest_bb84_rabin(n, seed):
+    h = run_bb84_rabin_ot(seed & 1, PERFECT, "honest", n,
+                          repetition_code(3, design_phi=0.0), seed).honest
+    return h["a"] == 0 or (h["decode_ok"] and h["y"] == h["b"])
+
+
+def _honest_ot12(direction):
+    def run(n, seed):
+        h = run_ot12(seed & 1, PERFECT, "honest", n, 1, seed,
+                     direction=direction).honest
+        return h["y"] == (h["s0"] if h["c"] == 0 else h["s1"])
+    return run
+
+
+def _honest_commitment(n, seed):
+    return run_commitment(seed & 1, PERFECT, "honest", n,
+                          seed).honest["accepted"]
+
+
+def _honest_qkd(n, seed):
+    rec = run_qkd(QkdConfig(p=0.0, symbols=n, ec_bits_per_symbol=0.4),
+                  seed)
+    return not rec["refused"] and rec["keys_equal"]
+
+
+HONEST_PROTOCOLS = {
+    "rabin": _honest_rabin, "bb84-rabin": _honest_bb84_rabin,
+    "ot12-standard": _honest_ot12("standard"),
+    "ot12-reversed": _honest_ot12("reversed"),
+    "commitment": _honest_commitment, "qkd": _honest_qkd,
+}
+
+
+class TestHonestScale:
+    """Every honest protocol at a family size past one machine word
+    (n = 64) and at the advertised cap."""
+
+    @pytest.mark.parametrize("n", [64, HONEST_CAP])
+    @pytest.mark.parametrize("protocol", sorted(HONEST_PROTOCOLS))
+    def test_honest_run_correct(self, protocol, n):
+        for seed in range(2):
+            assert HONEST_PROTOCOLS[protocol](n, seed)
+
+    @pytest.mark.parametrize("protocol", sorted(HONEST_PROTOCOLS))
+    def test_cap_names_parameter_and_cap(self, protocol):
+        with pytest.raises(CapacityError) as err:
+            HONEST_PROTOCOLS[protocol](HONEST_CAP + 1, 0)
+        param = "symbols" if protocol == "qkd" else "n"
+        assert f"{param}={HONEST_CAP + 1}" in str(err.value)
+        assert str(HONEST_CAP) in str(err.value)
 
 
 class TestAdversarialRuns:
