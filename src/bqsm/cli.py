@@ -10,9 +10,11 @@ promise error (one JSON error line on stderr), 3 bound violation detected
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +63,8 @@ def _fmt(v):
 # experiment implementations
 # ---------------------------------------------------------------------------
 
-def _exp_uncertainty_two_basis(seed, n=6, trials=1000, max_set=None):
+def _exp_uncertainty_two_basis(seed, n=6, trials=1000,
+                               max_set: int | None = None):
     from .bits import int_to_str
     from .qstate import haar_state
     from .uncertainty import (max_prob_relation, min_entropy_sum_relation,
@@ -180,7 +183,7 @@ def _exp_qkd_thresholds(seed):
 
 
 def _exp_qkd_run(seed, alphabet="bb84", p=0.0, symbols=1000,
-                 margin_bits=1.0, code=None):
+                 margin_bits=1.0, code: str | None = None):
     from .protocols.codes import hamming_7_4, repetition_code
     from .qkd import QkdConfig, run_qkd
     codes = {"hamming": lambda: hamming_7_4(p),
@@ -195,7 +198,8 @@ def _exp_qkd_run(seed, alphabet="bb84", p=0.0, symbols=1000,
 
 
 def _exp_qkd_rate_check(seed, alphabet="six-state", m=7, eve="trivial",
-                        eve_param=None, memory_qubits=0, margin_bits=0.5):
+                        eve_param: str | None = None, memory_qubits=0,
+                        margin_bits=0.5):
     from .protocols.codes import hamming_7_4
     from .qkd import Eavesdropper, QkdConfig, rate_bound_check
     cfg = QkdConfig(alphabet=alphabet, p=0.0,
@@ -252,28 +256,17 @@ def _structured_mass(rng, size, kind):
 
 
 def _exp_pa_quantum(seed, n=4, q=1, strategy="store_prefix", ell=1):
-    from .cqstate import CqState, pa_distance
+    from .cqstate import pa_distance
     from .hashing import HashFamily
     from .protocols import breitbart_strategy, measure_fixed, store_prefix
-    from .protocols.rabin import rabin_exact_blocks
-    from .bits import int_to_str
+    from .protocols.rabin import rabin_cq_state, rabin_exact_blocks
     strat = _choose("strategy", strategy, {
         "store_prefix": lambda: store_prefix(q),
         "measure_fixed": lambda: measure_fixed(
             ["+" if i % 2 == 0 else "x" for i in range(n)]),
         "breitbart": lambda: breitbart_strategy()})()
-    xs, us, ps, ops = [], [], [], []
-    eye = np.eye(1 << strat.memory_qubits(n), dtype=complex) \
-        / (1 << strat.memory_qubits(n))
-    for r, y, p_ry, p_x, op in rabin_exact_blocks(n, strat):
-        for x in range(1 << n):
-            if p_x[x] > 0:
-                xs.append(int_to_str(x, n))
-                us.append((r, int(y)))
-                ps.append(p_ry * p_x[x])
-                ops.append(op[x] if op[x] is not None else eye)
-    state = CqState(tuple(xs), np.asarray(ps), tuple(ops),
-                    strat.memory_qubits(n), tuple(us))
+    state = rabin_cq_state(n, strat.memory_qubits(n),
+                           rabin_exact_blocks(n, strat))
     exact, bound = pa_distance(state, HashFamily(n, ell, "linear"), 0.0)
     ok = exact <= bound + 1e-9
     return {"rows": [{"n": n, "q": strat.memory_qubits(n),
@@ -510,7 +503,6 @@ def _exp_receiver_security(seed, n=3, sender="honest"):
 
 
 def _exp_hmin_accumulated(seed, n=200, lam=0.1, trials=10000):
-    from .uncertainty import accumulated_min_entropy
     from . import markov
     model = markov.floor_hugging_chain(4, entropy_floor=1.0)
     rec = markov.accumulated_min_entropy_markov(model, n, lam, trials, seed)
@@ -539,58 +531,50 @@ def _exp_azuma(seed, c=1.0, n=1000, lam=0.1, trials=100000):
     return {"rows": [rec], "violations": 0 if ok else 1}
 
 
-REGISTRY = {
-    "uncertainty-two-basis": (_exp_uncertainty_two_basis,
-                              {"n": int, "trials": int}),
-    "uncertainty-tight-cases": (_exp_uncertainty_tight_cases,
-                                {"n_max": int}),
-    "second-relation": (_exp_second_relation,
-                        {"n": int, "lam": float, "trials": int,
-                         "alphabet": str}),
-    "uncertainty-multi-mub": (_exp_uncertainty_multi_mub,
-                              {"n": int, "trials": int}),
-    "maassen-uffink": (_exp_maassen_uffink, {"n": int, "trials": int}),
-    "hd-table": (_exp_hd_table, {}),
-    "hd-mc": (_exp_hd_mc, {"d": int, "samples": int}),
-    "qkd-thresholds": (_exp_qkd_thresholds, {}),
-    "qkd-run": (_exp_qkd_run, {"alphabet": str, "p": float,
-                               "symbols": int, "code": str}),
-    "qkd-rate-check": (_exp_qkd_rate_check,
-                       {"alphabet": str, "m": int, "eve": str,
-                        "eve_param": str, "memory_qubits": int}),
-    "lhl-classical": (_exp_lhl_classical,
-                      {"n": int, "ell": int, "distributions": int}),
-    "pa-quantum": (_exp_pa_quantum, {"n": int, "q": int, "strategy": str,
-                                     "ell": int}),
-    "bell-attack": (_exp_bell_attack, {"n": int}),
-    "breitbart": (_exp_breitbart, {}),
-    "xor-characterization": (_exp_xor_characterization,
-                             {"trials": int, "n_w": int}),
-    "ndlf-perturbation": (_exp_ndlf_perturbation,
-                          {"ell": int, "trials": int}),
-    "min-entropy-splitting": (_exp_splitting,
-                              {"trials": int, "n0": int, "n1": int}),
-    "ot-from-uot": (_exp_ot_uot, {"n": int, "ell": int, "kappa": float,
-                                  "channel": str}),
-    "splitting-reduction": (_exp_splitting_reduction,
-                            {"n": int, "ell": int, "kappa": float,
-                             "channel": str}),
-    "rabin-honest": (_exp_rabin_honest, {"n": int, "runs": int}),
-    "ot12-honest": (_exp_ot12_honest, {"n": int, "runs": int}),
-    "commitment-honest": (_exp_commit_honest, {"n": int, "runs": int}),
-    "purification-equivalence": (_exp_purification, {"n": int}),
-    "binding": (_exp_binding, {"n": int, "q": int, "strategy": str,
-                               "mode": str}),
-    "sender-security": (_exp_sender_security,
-                        {"protocol": str, "n": int, "q": int, "ell": int,
-                         "strategy": str}),
-    "receiver-security": (_exp_receiver_security,
-                          {"n": int, "sender": str}),
-    "hmin-accumulated": (_exp_hmin_accumulated,
-                         {"n": int, "lam": float, "trials": int}),
-    "azuma-empirical": (_exp_azuma, {"c": float, "n": int, "lam": float,
-                                     "trials": int}),
-}
+def _schema(func) -> dict:
+    """The settable parameters of an experiment, read off its signature:
+    the type of each scalar default, or the scalar of a `T | None`
+    annotation where the default is None. Other defaults stay unexposed."""
+    schema = {}
+    for name, par in inspect.signature(func, eval_str=True).parameters.items():
+        types = typing.get_args(par.annotation) if par.default is None \
+            else (type(par.default),)
+        scalar = [t for t in types if t in (int, float, str)]
+        if par.default is not par.empty and scalar:
+            schema[name] = scalar[0]
+    return schema
+
+
+REGISTRY = {name: (func, _schema(func)) for name, func in {
+    "uncertainty-two-basis": _exp_uncertainty_two_basis,
+    "uncertainty-tight-cases": _exp_uncertainty_tight_cases,
+    "second-relation": _exp_second_relation,
+    "uncertainty-multi-mub": _exp_uncertainty_multi_mub,
+    "maassen-uffink": _exp_maassen_uffink,
+    "hd-table": _exp_hd_table,
+    "hd-mc": _exp_hd_mc,
+    "qkd-thresholds": _exp_qkd_thresholds,
+    "qkd-run": _exp_qkd_run,
+    "qkd-rate-check": _exp_qkd_rate_check,
+    "lhl-classical": _exp_lhl_classical,
+    "pa-quantum": _exp_pa_quantum,
+    "bell-attack": _exp_bell_attack,
+    "breitbart": _exp_breitbart,
+    "xor-characterization": _exp_xor_characterization,
+    "ndlf-perturbation": _exp_ndlf_perturbation,
+    "min-entropy-splitting": _exp_splitting,
+    "ot-from-uot": _exp_ot_uot,
+    "splitting-reduction": _exp_splitting_reduction,
+    "rabin-honest": _exp_rabin_honest,
+    "ot12-honest": _exp_ot12_honest,
+    "commitment-honest": _exp_commit_honest,
+    "purification-equivalence": _exp_purification,
+    "binding": _exp_binding,
+    "sender-security": _exp_sender_security,
+    "receiver-security": _exp_receiver_security,
+    "hmin-accumulated": _exp_hmin_accumulated,
+    "azuma-empirical": _exp_azuma,
+}.items()}
 
 
 def list_experiments(filter_text: str = "") -> list:
@@ -656,6 +640,21 @@ def _json_default(v):
     return str(v)
 
 
+def _config_spec(path: str, out, fmt) -> ExperimentSpec:
+    """The spec of a JSON config file; an unreadable file or a missing or
+    malformed field is a ParameterError."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+        return ExperimentSpec(cfg["experiment"],
+                              dict(cfg.get("parameters", {})),
+                              int(cfg["seed"]), out, cfg.get("format", fmt))
+    except KeyError as exc:
+        raise ParameterError(f"--config {path} has no {exc} field") from exc
+    except (OSError, TypeError, ValueError) as exc:
+        raise ParameterError(f"bad --config {path}: {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="bqsm",
@@ -679,12 +678,7 @@ def main(argv=None) -> int:
         return 0
     try:
         if args.config:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-            spec = ExperimentSpec(cfg["experiment"],
-                                  cfg.get("parameters", {}),
-                                  int(cfg["seed"]), args.out,
-                                  cfg.get("format", args.format))
+            spec = _config_spec(args.config, args.out, args.format)
         else:
             if not args.experiment:
                 raise ParameterError("--experiment is required")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import int_to_str
+from .bits import hamming, int_to_str
 from .entropy import (Distribution, JointDistribution, hamming_ball_size,
                       smooth_min_entropy, renyi_entropy)
 from .errors import CapacityError, InputError
@@ -387,14 +387,10 @@ def guess_within_ball(state: CqState, strategy, delta: float,
     success = 0.0
     for xv, uv, pv, op in zip(state.x, state.u, state.p, state.ops):
         for element, guess in strategy(uv):
-            if _hamming(guess, xv) <= radius:
+            if hamming(guess, xv) <= radius:
                 success += pv * float(np.trace(
                     np.asarray(element, dtype=complex) @ op).real)
     h_eps, _ = smooth_min_entropy(state.classical_joint(), epsilon_smooth)
     bound = 2.0 ** (-0.5 * (h_eps - state.q - 1) + math.log2(ball)) \
         + 2.0 * epsilon_smooth * ball
     return success, bound
-
-
-def _hamming(a: str, b: str) -> int:
-    return sum(x != y for x, y in zip(a, b))

@@ -319,6 +319,8 @@ def gf2_matvec_stream(seed: int, ell: int, x_bits: np.ndarray) -> np.ndarray:
                              dtype=">u8").astype(np.uint64)
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, 1 << 63, size=(ell, words), dtype=np.uint64)
-    rows = (rows << np.uint64(1)) | rng.integers(
-        0, 2, size=(ell, words), dtype=np.uint64)
-    return parity_u64(rows & x_packed[None, :]).sum(axis=1).astype(np.uint8) & 1
+    rows <<= np.uint64(1)
+    rows |= rng.integers(0, 2, size=(ell, words), dtype=np.uint64)
+    rows &= x_packed
+    # parity is linear: XOR the words of each row, then one parity per row
+    return parity_u64(np.bitwise_xor.reduce(rows, axis=1)).astype(np.uint8)

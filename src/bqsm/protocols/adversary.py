@@ -152,91 +152,87 @@ class DenseBlocks:
     amps: list            # arrays (2^n, 2^q), normalized per outcome
 
 
-def epr_blocks_dense(n: int, strategy: AdversaryStrategy) -> DenseBlocks:
+def _checked_layout(n: int, strategy: AdversaryStrategy):
+    """The strategy's (unitary, kept wires, ancillas), checked against the
+    dense-engine cap, the unitary's dimension and the wire count."""
     if n > DENSE_CAP:
-        raise CapacityError(f"dense engine capped at n={DENSE_CAP}")
+        raise CapacityError(f"n={n} exceeds the dense-engine cap "
+                            f"{DENSE_CAP}; lower n")
     u, kept, anc = strategy.dense_layout(n)
-    total = n + anc
-    if u.shape != (1 << total, 1 << total):
+    if u.shape != (1 << (n + anc),) * 2:
         raise InputError("compression unitary has the wrong dimension")
-    q = len(kept)
+    if len(set(kept)) != len(kept) or not set(kept) <= set(range(n + anc)):
+        raise InputError(f"kept wires {kept} are not distinct wires of "
+                         f"0..{n + anc - 1}")
+    return u, kept, anc
+
+
+def _wire_split(amps: np.ndarray, total: int, kept) -> np.ndarray:
+    """Split the last axis of `amps` (2^total, wire 0 most significant) into
+    the adversary's outcome y (the measured wires, in wire order) and kept
+    index k (the kept wires, in `kept` order): a contiguous y-major array
+    of shape (2^meas, *leading axes, 2^q)."""
+    lead = amps.ndim - 1
     measured = [w for w in range(total) if w not in kept]
-    m = np.arange(1 << total)
-    y_idx = np.zeros(1 << total, dtype=np.int64)
-    for pos, w in enumerate(measured):
-        y_idx |= ((m >> (total - 1 - w)) & 1) << (len(measured) - 1 - pos)
-    k_idx = np.zeros(1 << total, dtype=np.int64)
-    for pos, w in enumerate(kept):
-        k_idx |= ((m >> (total - 1 - w)) & 1) << (q - 1 - pos)
+    axes = [lead + w for w in measured] + list(range(lead)) \
+        + [lead + w for w in kept]
+    wires = amps.reshape(amps.shape[:-1] + (2,) * total).transpose(axes)
+    return np.ascontiguousarray(wires).reshape(
+        (1 << len(measured),) + amps.shape[:-1] + (1 << len(kept),))
+
+
+def epr_blocks_dense(n: int, strategy: AdversaryStrategy) -> DenseBlocks:
+    u, kept, anc = _checked_layout(n, strategy)
     # psi[x, m] = 2^{-n/2} U[m, x << anc]
     psi = u[:, (np.arange(1 << n) << anc)].T * 2.0 ** (-n / 2.0)
     ys, probs, amps = [], [], []
-    for y in range(1 << len(measured)):
-        mask = y_idx == y
-        block = np.zeros((1 << n, 1 << q), dtype=complex)
-        block[:, k_idx[mask]] = psi[:, mask]
+    for y, block in enumerate(_wire_split(psi, n + anc, kept)):
         p = float((np.abs(block) ** 2).sum())
         if p > 1e-15:
             ys.append(y)
             probs.append(p)
             amps.append(block / math.sqrt(p))
-    return DenseBlocks(n, q, ys, np.asarray(probs), amps)
+    return DenseBlocks(n, len(kept), ys, np.asarray(probs), amps)
+
+
+def row_states(c: np.ndarray):
+    """Weights and states of amplitude rows: p[i] = ||c[i]||^2 (0 at or
+    below 1e-15) and ops[i] the normalized pure state of c[i], None exactly
+    where p[i] = 0. With c = V^dagger amps this measures the sender register
+    of joint amplitudes amps[x, k] in the basis V."""
+    p = (np.abs(c) ** 2).sum(axis=1)
+    p[p <= 1e-15] = 0.0
+    ops = [None] * len(p)
+    for i in np.nonzero(p)[0]:
+        vec = c[i] / math.sqrt(p[i])
+        ops[i] = np.outer(vec, vec.conj())
+    return p, ops
 
 
 def sender_measurement_dense(blocks: DenseBlocks, theta):
     """Measure the sender register of every y-block in the per-qubit basis
     theta. Yields (y, prob_y, p_x_given_y, kept_ops) where kept_ops[x] is
     the normalized retained-register state (None when p_x = 0)."""
-    v = product_basis_matrix(theta)
-    vd = v.conj().T
+    vd = product_basis_matrix(theta).conj().T
     for y, p_y, amp in zip(blocks.ys, blocks.probs, blocks.amps):
-        c = vd @ amp                      # (2^n, 2^q)
-        p_x = (np.abs(c) ** 2).sum(axis=1)
-        p_x[p_x <= 1e-15] = 0.0
-        ops = []
-        for x in range(1 << blocks.n):
-            if p_x[x] > 0:
-                vec = c[x] / math.sqrt(p_x[x])
-                ops.append(np.outer(vec, vec.conj()))
-            else:
-                ops.append(None)
-        yield y, p_y, p_x, ops
+        yield (y, p_y) + row_states(vd @ amp)
 
 
 def direct_blocks_dense(n: int, strategy: AdversaryStrategy, theta):
     """Direct-protocol counterpart: the sender transmits |x>_theta; yields
     per x the outcome distribution and kept states: (x, p_y_given_x dict,
     kept_ops dict)."""
-    if n > DENSE_CAP:
-        raise CapacityError(f"dense engine capped at n={DENSE_CAP}")
-    u, kept, anc = strategy.dense_layout(n)
-    total = n + anc
-    q = len(kept)
-    measured = [w for w in range(total) if w not in kept]
-    m = np.arange(1 << total)
-    y_idx = np.zeros(1 << total, dtype=np.int64)
-    for pos, w in enumerate(measured):
-        y_idx |= ((m >> (total - 1 - w)) & 1) << (len(measured) - 1 - pos)
-    k_idx = np.zeros(1 << total, dtype=np.int64)
-    for pos, w in enumerate(kept):
-        k_idx |= ((m >> (total - 1 - w)) & 1) << (q - 1 - pos)
+    u, kept, anc = _checked_layout(n, strategy)
     v = product_basis_matrix(theta)
+    # out[y, x, k]: amplitudes of U |x>_theta |0^anc>. Each x is its own
+    # matrix-vector product; one matrix product rounds the last bits apart.
+    sent = np.zeros((1 << n, u.shape[0]), dtype=complex)
+    sent[:, np.arange(1 << n) << anc] = v.T
+    out = _wire_split(np.stack([u @ s for s in sent]), n + anc, kept)
     for x in range(1 << n):
-        vec = np.zeros(1 << total, dtype=complex)
-        vec[np.arange(1 << n) << anc] = v[:, x]
-        out = u @ vec
-        p_y = {}
-        ops = {}
-        for y in range(1 << len(measured)):
-            mask = y_idx == y
-            block = np.zeros(1 << q, dtype=complex)
-            block[k_idx[mask]] = out[mask]
-            p = float((np.abs(block) ** 2).sum())
-            if p > 1e-15:
-                p_y[y] = p
-                b = block / math.sqrt(p)
-                ops[y] = np.outer(b, b.conj())
-        yield x, p_y, ops
+        p, ops = row_states(out[:, x])
+        ys = np.nonzero(p)[0].tolist()
+        yield x, {y: float(p[y]) for y in ys}, {y: ops[y] for y in ys}
 
 
 # ---------------------------------------------------------------------------

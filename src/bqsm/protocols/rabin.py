@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from ..bits import bits_to_int, bits_to_str
+from ..bits import bits_to_int, bits_to_str, int_to_str
+from ..cqstate import CqState
 from ..errors import InputError
 from ..hashing import HashFamily
 from .adversary import (AdversaryStrategy, bell_pairwise_xor,
@@ -161,6 +162,22 @@ def rabin_exact_blocks(n: int, strategy: AdversaryStrategy):
     for r in ("+", "x"):
         for y, p_y, p_x, ops in sender_measurement_dense(blocks, [r] * n):
             yield r, y, 0.5 * p_y, p_x, ops
+
+
+def rabin_cq_state(n: int, q: int, blocks, p_total: float = 1.0) -> CqState:
+    """The cq-state of X against the adversary's view U = (r, y) and kept
+    register: one entry per x with p_x > 0 in each
+    (r, y, P(r, y), p_x_given_ry, kept_ops) block of `rabin_exact_blocks`,
+    with probabilities divided by p_total."""
+    xs, us, ps, ops = [], [], [], []
+    for r, y, p_ry, p_x, op in blocks:
+        for x in np.nonzero(p_x > 0)[0]:
+            xs.append(int_to_str(int(x), n))
+            us.append((r, int(y)))
+            ps.append(p_ry * p_x[x])
+            ops.append(op[x])
+    return CqState(tuple(xs), np.asarray(ps) / p_total, tuple(ops), q,
+                   tuple(us))
 
 
 def rabin_guess_probability(n: int, strategy: AdversaryStrategy,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..bits import int_to_str
-from ..cqstate import CqState, pa_distance
+from ..cqstate import pa_distance
 from ..entropy import JointDistribution, smooth_min_entropy
 from ..errors import CapacityError, InputError
 from ..hashing import HashFamily
@@ -22,9 +22,11 @@ from ..qstate import (SINGLE_QUBIT_BASES, batched_trace_norm,
                       product_basis_matrix, trace_norm)
 from ..uncertainty import event_from_distributions, genrel_epsilon
 from .adversary import (AdversaryStrategy, direct_blocks_dense,
-                        epr_blocks_dense, product_factors,
+                        epr_blocks_dense, product_factors, row_states,
                         sender_measurement_dense)
-from .rabin import rabin_exact_blocks
+from .rabin import rabin_cq_state, rabin_exact_blocks
+
+OT12_AUDIT_CAP = 6
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +92,7 @@ def honest_rabin_sender(n: int, seed: int, branches: int = 4):
     for _ in range(branches):
         x = int(rng.integers(1 << n))
         r = "+" if rng.integers(2) == 0 else "x"
-        v = _basis_matrix(r, n)[:, x].reshape(-1, 1)
+        v = product_basis_matrix([r] * n)[:, x].reshape(-1, 1)
         f_idx = int(rng.integers(fam.size))
         e = fam.eval(fam.member(f_idx), x)  # b = 0
         out.append(SenderBranch(1.0 / branches, v, r, f_idx, e))
@@ -143,15 +145,6 @@ def receiver_security_witness(branches, protocol: str, n: int) -> dict:
     raise InputError(f"unknown protocol {protocol!r}")
 
 
-def _basis_matrix(label_or_string, n: int) -> np.ndarray:
-    if label_or_string in SINGLE_QUBIT_BASES and n > 1:
-        labels = [label_or_string] * n
-    else:
-        labels = list(label_or_string) if len(label_or_string) == n \
-            else [label_or_string] * n
-    return product_basis_matrix(labels)
-
-
 def _rabin_witness(branches, n: int) -> dict:
     fam = HashFamily(n, 1, "linear")
     # blocks: (a, b_prime, branch index) -> weighted kept-register operator
@@ -168,15 +161,11 @@ def _rabin_witness(branches, n: int) -> dict:
                         + 0.25 * br.weight * np.array([[1.0 + 0j]])
             continue
         member = fam.member(br.f_index)
-        v = _basis_matrix(br.r, n)
-        c = v.conj().T @ br.amps            # (2^n, kept)
-        for x in range(1 << n):
-            p_x = float((np.abs(c[x]) ** 2).sum())
-            if p_x <= 1e-15:
-                continue
-            vec = c[x] / math.sqrt(p_x)
-            op = np.outer(vec, vec.conj()) * p_x * br.weight
-            bp = br.e ^ fam.eval(member, x)
+        v = product_basis_matrix([br.r] * n)
+        p_x, ops = row_states(v.conj().T @ br.amps)
+        for x in np.nonzero(p_x)[0]:
+            op = ops[x] * p_x[x] * br.weight
+            bp = br.e ^ fam.eval(member, int(x))
             for a in (0, 1):
                 key = (a, bp, bi)
                 blocks[key] = blocks.get(key, 0) + 0.5 * op
@@ -189,8 +178,6 @@ def _rabin_witness(branches, n: int) -> dict:
 
 
 def _ot12_witness(branches, n: int) -> dict:
-    from ..hashing import pad_substring
-
     fam = HashFamily(n, 1, "linear")
     blocks: dict = {}
     marg: dict = {}
@@ -199,19 +186,14 @@ def _ot12_witness(branches, n: int) -> dict:
         theta = br.r if len(br.r) == n else br.r * n
         member0 = fam.member(br.f_index)
         member1 = fam.member((br.f_index + 1) % fam.size)
-        i0 = [i for i, t in enumerate(theta) if t == "+"]
-        i1 = [i for i, t in enumerate(theta) if t == "x"]
-        v = _basis_matrix(theta, n)
-        c = v.conj().T @ br.amps
-        for x in range(1 << n):
-            p_x = float((np.abs(c[x]) ** 2).sum())
-            if p_x <= 1e-15:
-                continue
-            vec = c[x] / math.sqrt(p_x)
-            op = np.outer(vec, vec.conj()) * p_x * br.weight
-            xs = int_to_str(x, n)
-            s0 = fam.eval(member0, int(pad_substring(xs, i0), 2))
-            s1 = fam.eval(member1, int(pad_substring(xs, i1), 2))
+        pad0 = _pad_index(n, [i for i, t in enumerate(theta) if t == "+"])
+        pad1 = _pad_index(n, [i for i, t in enumerate(theta) if t == "x"])
+        v = product_basis_matrix(theta)
+        p_x, ops = row_states(v.conj().T @ br.amps)
+        for x in np.nonzero(p_x)[0]:
+            op = ops[x] * p_x[x] * br.weight
+            s0 = fam.eval(member0, int(pad0[x]))
+            s1 = fam.eval(member1, int(pad1[x]))
             for cbit, w in p_c.items():
                 key = (cbit, s0, s1, bi)
                 blocks[key] = blocks.get(key, 0) + w * op
@@ -252,11 +234,10 @@ def _rabin_sender_security(strategy, n, lam) -> dict:
     per_y: dict = {}
     for r, y, p_ry, p_x, ops in rabin_exact_blocks(n, strategy):
         per_y.setdefault(y, {})[r] = (p_ry, p_x, ops)
-    xs, us, ps, opl = [], [], [], []
+    chosen = []
     p_event = 0.0
     links = {"event_prob": math.inf, "branch_entropy": math.inf}
     kappa_max = 0.0
-    eye = np.eye(1 << q, dtype=complex) / (1 << q)
     for y, per_r in sorted(per_y.items()):
         qp = per_r.get("+", (0.0, np.zeros(1 << n), None))[1]
         qt = per_r.get("x", (0.0, np.zeros(1 << n), None))[1]
@@ -275,13 +256,8 @@ def _rabin_sender_security(strategy, n, lam) -> dict:
                                           h - lam * n)
             p_ry, p_x, ops = per_r[r]
             p_event += p_ry * prob
-            for x in np.nonzero(keep & (p_x > 0))[0]:
-                xs.append(int_to_str(int(x), n))
-                us.append((r, int(y)))
-                ps.append(p_ry * p_x[x])
-                opl.append(ops[x] if ops[x] is not None else eye)
-    ps = np.asarray(ps) / p_event
-    state = CqState(tuple(xs), ps, tuple(opl), q, tuple(us))
+            chosen.append((r, y, p_ry, np.where(keep, p_x, 0.0), ops))
+    state = rabin_cq_state(n, q, chosen, p_event)
     fam = HashFamily(n, 1, "linear")
     exact, bound = pa_distance(state, fam, 0.0)
     links["pa"] = bound - exact
@@ -302,8 +278,9 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
     uncertainty -> splitting -> chain-rule -> PA audit."""
     if not strategy.is_product():
         raise InputError("1-2 OT audit expects a product strategy")
-    if n > 6:
-        raise CapacityError("exact two-hash assembly capped at n = 6")
+    if n > OT12_AUDIT_CAP:
+        raise CapacityError(f"n={n} exceeds the two-hash assembly cap "
+                            f"{OT12_AUDIT_CAP}; lower n")
     q = strategy.memory_qubits(n)
     lam = lam if lam is not None else 0.1
     factors = product_factors(n, strategy)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -34,6 +35,30 @@ class TestRegistry:
         for name, (func, schema) in REGISTRY.items():
             assert callable(func)
             assert isinstance(schema, dict)
+
+    def test_schema_is_the_scalar_keyword_parameters(self):
+        for name, (func, schema) in REGISTRY.items():
+            params = inspect.signature(func).parameters
+            scalar = {k for k, par in params.items()
+                      if par.default is None
+                      or isinstance(par.default, (int, float, str))}
+            assert set(schema) == scalar, name
+            for k, t in schema.items():
+                default = params[k].default
+                assert default is None or type(default) is t, (name, k)
+        assert REGISTRY["hd-table"][1] == {}        # dims is a tuple
+        assert REGISTRY["qkd-run"][1]["code"] is str
+        assert REGISTRY["uncertainty-two-basis"][1]["max_set"] is int
+
+    @pytest.mark.parametrize("name, params", [
+        ("qkd-run", {"symbols": "200", "margin_bits": "2.5"}),
+        ("qkd-rate-check", {"m": "3", "margin_bits": "0.25"}),
+        ("uncertainty-two-basis", {"n": "2", "trials": "2",
+                                   "max_set": "1"}),
+    ])
+    def test_signature_parameters_are_settable(self, name, params):
+        result = run(ExperimentSpec(name, params, 3))
+        assert result["spec"]["parameters"] == params
 
 
 class TestDeterminism:
@@ -81,12 +106,28 @@ class TestProcessInterface:
         (("ot12-honest", "n=100001", "runs=1"), 2, "n=100001"),
         # past one machine word the member draw no longer overflows
         (("ot12-honest", "n=80", "runs=1"), 0, None),
+        (("qkd-rate-check", "m=11"), 2, "m=11"),
+        (("purification-equivalence", "n=13"), 2, "n=13"),
+        (("sender-security", "protocol=ot12", "n=7"), 2, "n=7"),
+        # --config files: absent, not JSON, lacking a required field
+        (("--config", None), 2, "spec.json"),
+        (("--config", "{not json"), 2, "spec.json"),
+        (("--config", '{"experiment": "hd-table"}'), 2, "seed"),
+        (("--config", '{"seed": 4}'), 2, "experiment"),
+        (("--config", '["hd-table", 4]'), 2, "spec.json"),
     ])
-    def test_library_errors_exit_2_with_json(self, params, code, named):
+    def test_library_errors_exit_2_with_json(self, params, code, named,
+                                             tmp_path):
         exp, *kvs = params
-        args = ["-e", exp, "--seed", "1"]
-        for kv in kvs:
-            args += ["-p", kv]
+        if exp == "--config":
+            cfg = tmp_path / "spec.json"
+            if kvs[0] is not None:
+                cfg.write_text(kvs[0])
+            args = ["--config", str(cfg)]
+        else:
+            args = ["-e", exp, "--seed", "1"]
+            for kv in kvs:
+                args += ["-p", kv]
         res = run_cli(*args)
         assert res.returncode == code
         assert "Traceback" not in res.stderr

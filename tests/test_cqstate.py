@@ -284,6 +284,13 @@ class TestGuessWithinBall:
         success, bound = guess_within_ball(st, strategy, 0.26)
         assert success <= bound + 1e-9
 
+    def test_wrong_length_guess_is_refused(self):
+        st = CqState.classical(Distribution.uniform(
+            [int_to_str(v, 3) for v in range(8)]))
+        with pytest.raises(InputError):
+            guess_within_ball(st, lambda u: [(np.array([[1.0]]), "00")],
+                              1.0)
+
 
 def single_qubit_projectors(basis):
     from bqsm.qstate import SINGLE_QUBIT_BASES

@@ -193,7 +193,44 @@ class TestComposition:
                         == table[i, (x0 << 2) | x1]
 
 
+@st.composite
+def _matvec_case(draw):
+    """(seed, ell, a, b) with a, b bit vectors of one length m."""
+    m = draw(st.integers(1, 200))
+    bits = st.lists(st.integers(0, 1), min_size=m, max_size=m)
+    return (draw(st.integers(0, 2 ** 32)), draw(st.integers(1, 70)),
+            np.array(draw(bits), np.uint8), np.array(draw(bits), np.uint8))
+
+
+def _edge_case(m, ell):
+    rng = np.random.default_rng(m)
+    return (m, ell, rng.integers(0, 2, m, dtype=np.uint8),
+            rng.integers(0, 2, m, dtype=np.uint8))
+
+
 class TestStreamedMatvec:
+    @given(_matvec_case())
+    @example(_edge_case(63, 70))
+    @example(_edge_case(64, 1))
+    @example(_edge_case(65, 33))
+    def test_is_a_gf2_linear_map(self, case):
+        seed, ell, a, b = case
+
+        def f(v):
+            return gf2_matvec_stream(seed, ell, v)
+
+        fa = f(a)
+        assert fa.dtype == np.uint8 and fa.shape == (ell,)
+        assert set(fa.tolist()) <= {0, 1}
+        assert np.array_equal(f(a ^ b), fa ^ f(b))
+        assert not f(np.zeros_like(a)).any()
+        # f(a) is the XOR of the images of a's unit vectors
+        unit = np.eye(len(a), dtype=np.uint8)
+        want = np.zeros(ell, np.uint8)
+        for i in np.nonzero(a)[0]:
+            want ^= f(unit[i])
+        assert np.array_equal(fa, want)
+
     def test_deterministic_and_linear(self):
         x = np.random.default_rng(0).integers(0, 2, 300, dtype=np.uint8)
         y = np.random.default_rng(1).integers(0, 2, 300, dtype=np.uint8)

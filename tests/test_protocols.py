@@ -314,6 +314,72 @@ class TestPurification:
         rec = sender_security_distance(s, "rabin", n)
         assert rec["pass"], rec
 
+    @pytest.mark.parametrize("kept", [(1, 1), (4,)])
+    def test_kept_wires_must_be_distinct_layout_wires(self, kept):
+        from bqsm.protocols import custom_compression
+        from bqsm.protocols.adversary import (direct_blocks_dense,
+                                              epr_blocks_dense)
+        s = custom_compression(np.eye(16), kept=kept, ancillas=1)
+        with pytest.raises(InputError):
+            epr_blocks_dense(3, s)
+        with pytest.raises(InputError):
+            next(direct_blocks_dense(3, s, ["+"] * 3))
+
+    def test_wire_split_matches_explicit_construction(self):
+        # B_y[x, k] = 2^{-n/2} <y, k| U |x, 0>, with y the measured wires
+        # (1 and the ancilla 3, in wire order) and k the kept wires in
+        # `kept` order (2 then 0), built from one basis vector per wire
+        from bqsm.protocols import custom_compression
+        from bqsm.protocols.adversary import (direct_blocks_dense,
+                                              epr_blocks_dense)
+        from bqsm.qstate import SINGLE_QUBIT_BASES, haar_unitary
+        n = 3
+        u = haar_unitary(1 << (n + 1), np.random.default_rng(23))
+        s = custom_compression(u, kept=(2, 0), ancillas=1)
+        e = np.eye(2)
+
+        def ket(*cols):
+            out = np.array([1.0 + 0j])
+            for c in cols:
+                out = np.kron(out, c)
+            return out
+
+        def wires(y, k):
+            return ket(e[k & 1], e[y >> 1], e[k >> 1], e[y & 1])
+
+        def explicit(sender_cols):
+            """amp[y, x, k] for the sender columns of each x."""
+            amp = np.zeros((4, 8, 4), dtype=complex)
+            for x in range(8):
+                out = u @ ket(*sender_cols(x), e[0])
+                for y in range(4):
+                    for k in range(4):
+                        amp[y, x, k] = wires(y, k) @ out
+            return amp
+
+        def bits(x):
+            return [(x >> (n - 1 - i)) & 1 for i in range(n)]
+
+        b = explicit(lambda x: [e[bit] for bit in bits(x)]) * 2 ** (-n / 2)
+        blocks = epr_blocks_dense(n, s)
+        p = (np.abs(b) ** 2).sum(axis=(1, 2))
+        assert blocks.ys == [y for y in range(4) if p[y] > 1e-15]
+        for y, p_y, amp in zip(blocks.ys, blocks.probs, blocks.amps):
+            assert p_y == pytest.approx(p[y], abs=1e-12)
+            assert np.allclose(amp * math.sqrt(p_y), b[y], atol=1e-12)
+
+        theta = ["+", "x", "+"]
+        d = explicit(lambda x: [SINGLE_QUBIT_BASES[t][:, bit]
+                                for t, bit in zip(theta, bits(x))])
+        for x, p_y, ops in direct_blocks_dense(n, s, theta):
+            norms = (np.abs(d[:, x]) ** 2).sum(axis=1)
+            assert sorted(p_y) == [y for y in range(4) if norms[y] > 1e-15]
+            for y, p in p_y.items():
+                assert p == pytest.approx(norms[y], abs=1e-12)
+                vec = d[y, x] / math.sqrt(p)
+                assert np.allclose(ops[y], np.outer(vec, vec.conj()),
+                                   atol=1e-12)
+
 
 class TestReceiverSecurity:
     @pytest.mark.parametrize("maker", [honest_rabin_sender,
