@@ -20,8 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bits import parity
-from .entropy import JointDistribution, conditional_renyi, smooth_min_entropy, \
-    chain_rule_slack, split_min_entropy
+from .entropy import JointDistribution, conditional_renyi, smooth_min_entropy
 from .errors import CapacityError, InputError, PromiseViolation
 from .hashing import NDLF, HashFamily, enumerate_ndlf
 

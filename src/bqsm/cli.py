@@ -452,7 +452,8 @@ def _exp_purification(seed, n=6):
                             store_prefix)
     rows, violations = [], 0
     strategies = [store_prefix(0), store_prefix(1), store_prefix(2),
-                  measure_fixed(["+", "x"] * (n // 2)),
+                  measure_fixed(["+" if i % 2 == 0 else "x"
+                                 for i in range(n)]),
                   breitbart_strategy(), full_memory()]
     if n % 2 == 0:
         strategies.append(bell_pairwise_xor())

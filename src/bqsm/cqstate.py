@@ -21,7 +21,7 @@ from .entropy import (Distribution, JointDistribution, hamming_ball_size,
                       smooth_min_entropy, renyi_entropy)
 from .errors import CapacityError, InputError
 from .hashing import HashFamily
-from .qstate import DensityOperator, trace_norm
+from .qstate import DensityOperator, batched_trace_norm, trace_norm
 
 FAMILY_CAP = 1 << 20
 
@@ -232,12 +232,19 @@ def _check_family_domain(state: CqState, family: HashFamily):
         raise InputError("hash family domain does not match X labels")
 
 
+def _check_family_cap(family: HashFamily):
+    if family.size > FAMILY_CAP:
+        raise CapacityError(
+            f"n*ell={family.n * family.ell} gives {family.size} members, "
+            f"over the exhaustive-averaging cap "
+            f"2^{FAMILY_CAP.bit_length() - 1}; lower n or ell")
+
+
 def pa_output_state(state: CqState, family: HashFamily) -> CqState:
     """Exact hashed state over ((F(X), F), U) x E, averaging over the whole
     family (capacity-capped)."""
     _check_family_domain(state, family)
-    if family.size > FAMILY_CAP:
-        raise CapacityError("family too large for exhaustive averaging")
+    _check_family_cap(family)
     de = state.dim_e
     acc: dict = {}
     weight = 1.0 / family.size
@@ -277,48 +284,47 @@ def pa_distance(state: CqState, family: HashFamily,
     exact = delta(rho_{F(X) F U E}, I/2^l (x) rho_{F U E}), computed
     block-wise over (f, u); bound = 1/2 2^{-(H_inf^eps(X|U) - q - l)/2}
     + eps. The contract exact <= bound is a theorem; the tests enforce it.
+
+    The average runs over row-space classes, not members: a rank-r member
+    has its row space's canonical blocks, relabelled, plus 2^l - 2^r zero
+    blocks, and one class stands for prod_{i<r} (2^l - 2^i) members (times
+    2^l offsets when affine); see `HashFamily.row_space_classes`.
     """
     _check_family_domain(state, family)
-    if family.size > FAMILY_CAP:
-        raise CapacityError("family too large for exhaustive averaging")
-    ell = family.ell
-    de = state.dim_e
-    n_out = 1 << ell
-    weight = 1.0 / family.size
-    table = family.eval_table()            # (size, 2^n)
-    exact = 0.0
-    outs_cache: dict = {}
-    rows = np.arange(family.size)[:, None]
-    for uv, xs, ps, ops in _blocks_by_u(state):
-        xints = np.array([int(xv, 2) for xv in xs])
-        key = xints.tobytes()
-        outs = outs_cache.get(key)
-        if outs is None:
-            outs = table[:, xints]         # (size, k)
-            outs_cache[key] = outs
-        if de == 1:
-            scal = np.array([op[0, 0].real for op in ops]) * ps
-            masses = np.zeros((family.size, n_out))
-            np.add.at(masses, (rows, outs),
-                      np.broadcast_to(scal, outs.shape))
-            avg = masses.sum(axis=1, keepdims=True) / n_out
-            exact += 0.5 * weight * np.abs(masses - avg).sum()
-        else:
-            stack = np.asarray(ops) * ps[:, None, None]   # (k, de, de)
-            chunk = max(1, (1 << 22) // (n_out * de * de))
-            for lo in range(0, family.size, chunk):
-                part = outs[lo:lo + chunk]
-                blocks = np.zeros((part.shape[0], n_out, de, de),
-                                  dtype=complex)
-                for z in range(n_out):
-                    blocks[:, z] = np.einsum("mk,kij->mij",
-                                             part == z, stack)
-                avg = blocks.sum(axis=1, keepdims=True) / n_out
-                eig = np.linalg.eigvalsh(blocks - avg)
-                exact += 0.5 * weight * np.abs(eig).sum()
+    _check_family_cap(family)
+    groups = [(np.array([int(xv, 2) for xv in xs]),
+               np.asarray(ops) * ps[:, None, None])
+              for _, xs, ps, ops in _blocks_by_u(state)]
+    exact = _class_average(groups, family)
     h_eps, _ = smooth_min_entropy(state.classical_joint(), epsilon_smooth)
-    bound = 0.5 * 2.0 ** (-0.5 * (h_eps - state.q - ell)) + epsilon_smooth
+    bound = 0.5 * 2.0 ** (-0.5 * (h_eps - state.q - family.ell)) \
+        + epsilon_smooth
     return exact, bound
+
+
+def _class_average(groups, family: HashFamily) -> float:
+    """Family average of sum_u sum_z 1/2 ||B_z - T/2^l||_1 over u-blocks
+    (x ints, stack of p_x rho_x): B_z sums the stack over F(x) = z, T all
+    of it; the 2^l - 2^r zero blocks of a rank-r class add ||T/2^l||_1."""
+    n_out = 1 << family.ell
+    total = 0.0
+    for r, table, count in family.row_space_classes():
+        rows = np.arange(len(table))
+        zero_blocks = len(table) * (n_out - (1 << r))
+        for xints, stack in groups:
+            avg = stack.sum(axis=0) / n_out
+            if stack.shape[-1] == 1:
+                outs = table[:, xints] + (rows << r)[:, None]
+                weights = np.broadcast_to(stack[:, 0, 0].real, outs.shape)
+                blocks = np.bincount(outs.ravel(), weights.ravel(),
+                                     len(table) << r)[:, None, None]
+            else:
+                blocks = np.zeros((len(table), 1 << r) + avg.shape, complex)
+                for xi, op in zip(xints, stack):
+                    blocks[rows, table[:, xi]] += op
+            total += 0.5 * count * (batched_trace_norm(blocks - avg)
+                                    + zero_blocks * batched_trace_norm(avg))
+    return total / family.size
 
 
 def pa_distance_slow(state: CqState, family: HashFamily,
@@ -351,24 +357,18 @@ def classical_lhl_distance(p_x: Distribution, family: HashFamily
                            ) -> tuple[float, float]:
     """Exact left-over-hash distance delta(P_{F(X) F}, unif P_F) over the
     full family, against the collision-entropy bound
-    1/2 2^{-(H_2(X) - l)/2}."""
+    1/2 2^{-(H_2(X) - l)/2}. Averaged as in `pa_distance`, over row-space
+    classes, each rank-r class weighted by its prod_{i<r} (2^l - 2^i)
+    members (times 2^l offsets when affine), with one u-block and no E."""
     lens = {len(o) for o in p_x.outcomes}
     if len(lens) != 1 or lens.pop() != family.n:
         raise InputError("hash family domain does not match the alphabet")
-    if family.size > FAMILY_CAP:
-        raise CapacityError("family too large for exhaustive averaging")
-    ell = family.ell
-    n_out = 1 << ell
+    _check_family_cap(family)
     mass = np.asarray([float(v) for v in p_x.mass])
-    xints = [int(o, 2) for o in p_x.outcomes]
-    exact = 0.0
-    weight = 1.0 / family.size
-    for member in family.members():
-        hist = np.zeros(n_out)
-        for xi, pv in zip(xints, mass):
-            hist[family.eval(member, xi)] += pv
-        exact += 0.5 * weight * np.abs(hist - 1.0 / n_out).sum()
-    bound = 0.5 * 2.0 ** (-0.5 * (renyi_entropy(p_x, 2) - ell))
+    exact = _class_average(
+        [(np.array([int(o, 2) for o in p_x.outcomes]),
+          mass[:, None, None])], family)
+    bound = 0.5 * 2.0 ** (-0.5 * (renyi_entropy(p_x, 2) - family.ell))
     return exact, bound
 
 

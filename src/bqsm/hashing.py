@@ -10,6 +10,8 @@ evaluation is XOR-and-parity.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +136,37 @@ class HashFamily:
             table = table.reshape(-1, 1 << self.n)
         return table
 
+    def row_space_classes(self):
+        """The family grouped by row space R, for averages in which a
+        member counts only through R: a rank-r member is A C, with C the
+        reduced-row-echelon basis of R and A injective, so its outputs are
+        the canonical r-bit outputs C x relabelled (and offset if affine).
+
+        Yields (r, table, count) per rank r <= min(n, l), in slices of at
+        most 2^20 cells: table[i, x] = C x for the slice's i-th row space;
+        prod_{i<r} (2^l - 2^i) members share each, times 2^l if affine.
+        """
+        if self.size > ENUM_CAP:
+            raise CapacityError(
+                f"family of size {self.size} exceeds the enumeration cap")
+        maps = [_echelon_maps(self.n, r)
+                for r in range(min(self.n, self.ell) + 1)]
+        classes = sum(len(m) for m in maps)
+        if (classes << self.n) > (ENUM_CAP << 6):
+            raise CapacityError(
+                f"n={self.n} gives {classes} row-space classes on 2^{self.n} "
+                f"inputs, over the class-table cap 2^26 cells; lower n")
+        step = max(1, ENUM_CAP >> self.n)
+        for r, unit in enumerate(maps):
+            count = math.prod((1 << self.ell) - (1 << i) for i in range(r))
+            count <<= self.ell if self.kind == "affine" else 0
+            for part in np.split(unit, range(step, len(unit), step)):
+                # C x is linear: double the table once per input bit b
+                table = np.zeros((len(part), 1), dtype=np.uint32)
+                for b in range(self.n):
+                    table = np.hstack([table, table ^ part[:, b, None]])
+                yield r, table, count
+
     def is_two_universal(self) -> bool:
         """Exhaustive collision check Pr[F(x)=F(y)] <= 2^-l for all x != y."""
         table = self.eval_table()
@@ -174,6 +207,23 @@ class HashFamily:
         table = self.eval_table()
         pair = (table[:, x].astype(np.int64) << self.ell) | table[:, y]
         return np.bincount(pair, minlength=1 << (2 * self.ell))
+
+
+def _echelon_maps(n: int, r: int) -> np.ndarray:
+    """C e_b for every r-dimensional subspace of GF(2)^n and input bit b,
+    shape (subspaces, n). C's row i leads at bit p_i (p_0 > p_1 > ...), is
+    zero at the other leading bits and free at the remaining bits below."""
+    out = []
+    for lead in itertools.combinations(range(n - 1, -1, -1), r):
+        free = [(i, b) for i, p in enumerate(lead) for b in range(p)
+                if b not in lead]
+        fill = np.arange(1 << len(free), dtype=np.uint32)
+        unit = np.zeros((len(fill), n), dtype=np.uint32)
+        unit[:, list(lead)] = [1 << (r - 1 - i) for i in range(r)]
+        for g, (i, b) in enumerate(free):
+            unit[:, b] |= ((fill >> g) & 1) << (r - 1 - i)
+        out.append(unit)
+    return np.concatenate(out)
 
 
 def _pair_histogram_uniform(table: np.ndarray, n: int, ell: int,

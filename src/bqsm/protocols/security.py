@@ -397,17 +397,7 @@ def _pad_index(n, idx) -> np.ndarray:
 def _kept_ops(theta, kept_idx) -> np.ndarray:
     """Stack of kept-register pure states |kappa>_theta, indexed by the
     packed kept-bit value."""
-    if not kept_idx:
-        return np.ones((1, 1, 1), dtype=complex)
-    dim = 1 << len(kept_idx)
-    out = np.empty((dim, dim, dim), dtype=complex)
-    for kappa in range(dim):
-        vec = np.array([1.0 + 0j])
-        for pos, i in enumerate(kept_idx):
-            bit = (kappa >> (len(kept_idx) - 1 - pos)) & 1
-            v = SINGLE_QUBIT_BASES[theta[i]][:, bit].conj()
-            vec = np.kron(vec, v)
-        out[kappa] = np.outer(vec, vec.conj())
-    return out
+    cols = product_basis_matrix([theta[i] for i in kept_idx]).conj()
+    return np.einsum("ik,jk->kij", cols, cols.conj())
 
 

@@ -115,6 +115,9 @@ class TestProcessInterface:
         (("--config", '{"experiment": "hd-table"}'), 2, "seed"),
         (("--config", '{"seed": 4}'), 2, "experiment"),
         (("--config", '["hd-table", 4]'), 2, "spec.json"),
+        # hash families past the exhaustive-averaging cap
+        (("lhl-classical", "n=11", "ell=2"), 2, "n*ell=22"),
+        (("pa-quantum", "n=7", "q=1", "ell=3"), 2, "n*ell=21"),
     ])
     def test_library_errors_exit_2_with_json(self, params, code, named,
                                              tmp_path):
@@ -133,6 +136,15 @@ class TestProcessInterface:
         assert "Traceback" not in res.stderr
         if named is not None:
             assert named in json.loads(res.stderr.splitlines()[-1])["error"]
+
+    def test_purification_at_odd_n(self):
+        # the alternating fixed-basis strategy needs one basis per qubit
+        res = run_cli("-e", "purification-equivalence", "--seed", "1",
+                      "-p", "n=5")
+        assert res.returncode == 0
+        out = json.loads(res.stdout)
+        assert out["violations"] == 0
+        assert "measure_fixed" in {r["strategy"] for r in out["rows"]}
 
     def test_bound_violation_exit_code(self, tmp_path, monkeypatch):
         # a synthetic failing experiment exercises the CI gate

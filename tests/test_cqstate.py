@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as hst
 
 from bqsm.cqstate import (CqState, classical_lhl_distance, guess_within_ball,
-                          helstrom_guess, pa_distance, pa_output_state,
-                          pgm_guess, qmin_entropy, qmin_entropy_rel)
+                          helstrom_guess, pa_distance, pa_distance_slow,
+                          pa_output_state, pgm_guess, qmin_entropy,
+                          qmin_entropy_rel)
 from bqsm.entropy import Distribution
 from bqsm.errors import InputError
 from bqsm.hashing import HashFamily
@@ -252,6 +254,76 @@ class TestPrivacyAmplification:
         # is deterministic, so the distance is exactly 1/2
         assert exact == pytest.approx(0.5)
         assert bound == pytest.approx(0.5 * 2 ** 0.5)
+
+
+def _pa_case(draw_seed, n, q, groups):
+    """Random cq-state over n-bit labels with `groups` u-values: each u
+    keeps a random subset of the x values, and about a fifth of the kept
+    entries have probability zero."""
+    rng = np.random.default_rng(draw_seed)
+    xs, us, ps, ops = [], [], [], []
+    for u in range(groups):
+        for x in range(1 << n):
+            if rng.random() < 0.3 and len(xs) > 0:
+                continue
+            xs.append(int_to_str(x, n))
+            us.append(f"u{u}")
+            ps.append(0.0 if rng.random() < 0.2 else rng.random())
+            ops.append(random_density(q, rng).matrix if q
+                       else np.array([[1.0 + 0j]]))
+    p = np.asarray(ps)
+    p[0] += 0.1
+    return CqState(tuple(xs), p / p.sum(), tuple(ops), q, tuple(us))
+
+
+class TestRowSpaceAverage:
+    """The row-space class average against the member-by-member oracles."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(hst.integers(0, 2 ** 32), hst.integers(1, 4), hst.integers(1, 3),
+           hst.integers(0, 1), hst.integers(1, 3),
+           hst.sampled_from(["linear", "affine"]))
+    @example(3, 1, 3, 1, 2, "linear")
+    @example(4, 2, 3, 0, 3, "affine")
+    @example(3, 3, 3, 1, 3, "affine")
+    @example(5, 4, 3, 1, 1, "linear")
+    def test_pa_distance_matches_slow_oracle(self, seed, n, ell, q, groups,
+                                             kind):
+        fam = HashFamily(n, ell, kind)
+        assume(fam.size <= 1 << 12)
+        st = _pa_case(seed, n, q, groups)
+        fast = pa_distance(st, fam, 0.05)
+        slow = pa_distance_slow(st, fam, 0.05)
+        # the oracle adds its size * 2^l * |U| nonnegative terms one at a
+        # time, so its own rounding error reaches that count times eps
+        # times the total (1.9e-12 at n=3, l=3, affine, three u-blocks)
+        terms = fam.size * (1 << ell) * len(set(st.u))
+        tol = 1e-12 + terms * np.finfo(float).eps * slow[0]
+        assert fast[0] == pytest.approx(slow[0], abs=tol, rel=0)
+        assert fast[1] == slow[1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(hst.integers(0, 2 ** 32), hst.integers(1, 4), hst.integers(1, 3),
+           hst.sampled_from(["linear", "affine"]))
+    @example(1, 1, 3, "linear")
+    @example(2, 4, 3, "linear")
+    def test_classical_lhl_matches_member_loop(self, seed, n, ell, kind):
+        fam = HashFamily(n, ell, kind)
+        assume(fam.size <= 1 << 14)
+        rng = np.random.default_rng(seed)
+        mass = rng.random(1 << n) * (rng.random(1 << n) < 0.7)
+        mass[0] += 0.1
+        mass /= mass.sum()
+        dist = Distribution([int_to_str(v, n) for v in range(1 << n)], mass)
+        terms = []
+        for member in fam.members():
+            hist = np.zeros(1 << ell)
+            for x, pv in enumerate(mass):
+                hist[fam.eval(member, x)] += pv
+            terms.append(0.5 * np.abs(hist - 1.0 / (1 << ell)).sum())
+        want = math.fsum(terms) / fam.size
+        exact, _ = classical_lhl_distance(dist, fam)
+        assert exact == pytest.approx(want, abs=1e-12, rel=0)
 
 
 class TestGuessWithinBall:

@@ -81,6 +81,54 @@ class TestHashFamily:
                     assert fam.sample(np.random.default_rng([n, ell])) \
                         == want
 
+    def test_row_space_class_weights_sum_to_size(self):
+        # class counts are Gaussian binomials [n, r]_2; member counts times
+        # classes cover the family exactly, or a capacity error is named
+        def gaussian(n, r):
+            num = den = 1
+            for i in range(r):
+                num *= (1 << n) - (1 << i)
+                den *= (1 << r) - (1 << i)
+            return num // den
+
+        for n in range(1, 17):
+            for ell in range(1, 16 // n + 1):
+                classes = sum(gaussian(n, r)
+                              for r in range(min(n, ell) + 1))
+                for kind in ("linear", "affine"):
+                    fam = HashFamily(n, ell, kind)
+                    if fam.size > 1 << 20 or classes << n > 1 << 26:
+                        with pytest.raises(CapacityError):
+                            next(fam.row_space_classes())
+                        continue
+                    seen = total = 0
+                    for r, table, count in fam.row_space_classes():
+                        assert table.shape[1] == 1 << n
+                        assert table.max(initial=0) < 1 << r
+                        seen += len(table)
+                        total += len(table) * count
+                    assert (seen, total) == (classes, fam.size)
+
+    def test_row_space_classes_group_members_by_kernel(self):
+        # a member's row space is fixed by its kernel {x : F(x) = F(0)};
+        # each class must be one kernel, hold the members with that kernel,
+        # and take 2^r distinct canonical values
+        for n, ell, kind in ((3, 2, "linear"), (2, 3, "linear"),
+                             (3, 3, "linear"), (2, 2, "affine"),
+                             (3, 1, "affine")):
+            fam = HashFamily(n, ell, kind)
+            table = fam.eval_table()
+            kernels = table == table[:, :1]
+            members = {}
+            for row in kernels:
+                members[row.tobytes()] = members.get(row.tobytes(), 0) + 1
+            classes = {}
+            for r, canon, count in fam.row_space_classes():
+                for row in canon:
+                    assert len(set(row.tolist())) == 1 << r
+                    classes[(row == 0).tobytes()] = count
+            assert classes == members
+
     def test_sample_beyond_index_range(self):
         fam = HashFamily(100, 3, "affine")
         member = fam.sample(np.random.default_rng(4))
