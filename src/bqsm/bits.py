@@ -17,10 +17,6 @@ _BYTE_PARITY = np.array(
 )
 
 
-def str_to_bits(s: str) -> np.ndarray:
-    return np.frombuffer(s.encode("ascii"), dtype=np.uint8) - ord("0")
-
-
 def bits_to_str(bits) -> str:
     return "".join("1" if b else "0" for b in bits)
 
@@ -29,10 +25,6 @@ def bits_to_int(bits) -> int:
     """Pack a bit sequence into an int, index 0 most significant; O(n)."""
     b = np.asarray(bits, dtype=np.uint8)
     return int.from_bytes(np.packbits(b).tobytes(), "big") >> (-len(b) % 8)
-
-
-def int_to_bits(v: int, n: int) -> np.ndarray:
-    return np.array([(v >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
 
 
 def int_to_str(v: int, n: int) -> str:
@@ -48,12 +40,6 @@ def parity_u64(a: np.ndarray) -> np.ndarray:
     """Elementwise parity of a uint64 array, via byte lookup."""
     b = a.astype(np.uint64).view(np.uint8).reshape(a.shape + (8,))
     return np.bitwise_xor.reduce(_BYTE_PARITY[b], axis=-1)
-
-
-def all_strings(n: int) -> list[str]:
-    if n > 24:
-        raise InputError("refusing to enumerate 2^{} strings".format(n))
-    return [int_to_str(v, n) for v in range(1 << n)]
 
 
 def hamming(a: str, b: str) -> int:

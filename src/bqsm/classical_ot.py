@@ -104,10 +104,6 @@ class PointerExtension:
     extended: np.ndarray   # [s0, s1, d, w]
     epsilon: float
 
-    def marginal_matches(self, dist: OtOutputDistribution, tol=1e-10) -> bool:
-        diff = self.extended.sum(axis=2) - dist.mass
-        return max(abs(v) for v in diff.flat) <= tol
-
 
 def _beta_distance(mass: np.ndarray, beta: NDLF):
     """delta(P_{beta(S0,S1) W}, unif . P_W) = 1/2 sum_w |sum_{s0,s1}

@@ -330,7 +330,8 @@ def _class_average(groups, family: HashFamily) -> float:
 def pa_distance_slow(state: CqState, family: HashFamily,
                      epsilon_smooth: float = 0.0) -> tuple[float, float]:
     """Reference member-by-member implementation; cross-checks the
-    vectorized path in the tests."""
+    vectorized path in the tests. Its size * 2^l * |U| terms are added
+    exactly (`math.fsum`), so its own rounding stays below 1e-12."""
     _check_family_domain(state, family)
     if family.size > 1 << 12:
         raise CapacityError("reference path is deliberately small")
@@ -338,7 +339,7 @@ def pa_distance_slow(state: CqState, family: HashFamily,
     de = state.dim_e
     n_out = 1 << ell
     weight = 1.0 / family.size
-    exact = 0.0
+    terms = []
     for uv, xs, ps, ops in _blocks_by_u(state):
         xints = [int(xv, 2) for xv in xs]
         for member in family.members():
@@ -346,8 +347,9 @@ def pa_distance_slow(state: CqState, family: HashFamily,
             for xi, pv, op in zip(xints, ps, ops):
                 blocks[family.eval(member, xi)] += pv * op
             avg = blocks.sum(axis=0) / n_out
-            for z in range(n_out):
-                exact += 0.5 * weight * trace_norm(blocks[z] - avg)
+            terms += [0.5 * weight * trace_norm(blocks[z] - avg)
+                      for z in range(n_out)]
+    exact = math.fsum(terms)
     h_eps, _ = smooth_min_entropy(state.classical_joint(), epsilon_smooth)
     bound = 0.5 * 2.0 ** (-0.5 * (h_eps - state.q - ell)) + epsilon_smooth
     return exact, bound

@@ -65,16 +65,8 @@ class Distribution:
     def total(self):
         return float(sum(self.mass))
 
-    def max_p(self):
-        return max(self.mass)
-
     def support_size(self) -> int:
         return int(sum(1 for v in self.mass if v > 0))
-
-    def restrict(self, outcomes) -> float:
-        """Total probability of a set of outcomes."""
-        return float(sum(self.mass[self._index[o]] for o in outcomes
-                         if o in self._index))
 
     def as_float(self) -> "Distribution":
         return Distribution(self.outcomes,
@@ -142,13 +134,6 @@ class JointDistribution:
                 summed = summed.sum(axis=ax)
         return Distribution(self.axes[keep], summed, normalized=self.normalized)
 
-    def marginal_joint(self, axes_to_keep) -> "JointDistribution":
-        keep = sorted(a % self.k for a in axes_to_keep)
-        drop = [a for a in range(self.k) if a not in keep]
-        m = self.mass.sum(axis=tuple(drop)) if drop else self.mass
-        return JointDistribution([self.axes[a] for a in keep], m,
-                                 normalized=self.normalized)
-
     def conditional(self, axis: int, value) -> "JointDistribution":
         """Condition on axis=value; zero marginal is an error, never a
         silent division."""
@@ -190,10 +175,6 @@ class SmoothingEvent:
     outcomes_y: tuple
     retained: np.ndarray  # shape (|X|, |Y|), pointwise <= original
     epsilon: float        # total removed mass
-
-    def retained_joint(self) -> JointDistribution:
-        return JointDistribution([self.outcomes_x, self.outcomes_y],
-                                 self.retained, normalized=False)
 
 
 # ---------------------------------------------------------------------------

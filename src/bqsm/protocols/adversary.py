@@ -17,7 +17,6 @@ Two engines evaluate strategies exactly:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,7 +148,7 @@ class DenseBlocks:
     q: int
     ys: list              # outcome ints in wire order of measured wires
     probs: np.ndarray
-    amps: list            # arrays (2^n, 2^q), normalized per outcome
+    amps: np.ndarray      # (len(ys), 2^n, 2^q), normalized per outcome
 
 
 def _checked_layout(n: int, strategy: AdversaryStrategy):
@@ -185,54 +184,43 @@ def epr_blocks_dense(n: int, strategy: AdversaryStrategy) -> DenseBlocks:
     u, kept, anc = _checked_layout(n, strategy)
     # psi[x, m] = 2^{-n/2} U[m, x << anc]
     psi = u[:, (np.arange(1 << n) << anc)].T * 2.0 ** (-n / 2.0)
-    ys, probs, amps = [], [], []
-    for y, block in enumerate(_wire_split(psi, n + anc, kept)):
-        p = float((np.abs(block) ** 2).sum())
-        if p > 1e-15:
-            ys.append(y)
-            probs.append(p)
-            amps.append(block / math.sqrt(p))
-    return DenseBlocks(n, len(kept), ys, np.asarray(probs), amps)
+    split = _wire_split(psi, n + anc, kept)
+    p = (np.abs(split) ** 2).reshape(len(split), -1).sum(axis=1)
+    ys = np.nonzero(p > 1e-15)[0]
+    amps = split[ys] / np.sqrt(p[ys])[:, None, None]
+    return DenseBlocks(n, len(kept), ys.tolist(), p[ys], amps)
 
 
 def row_states(c: np.ndarray):
-    """Weights and states of amplitude rows: p[i] = ||c[i]||^2 (0 at or
-    below 1e-15) and ops[i] the normalized pure state of c[i], None exactly
-    where p[i] = 0. With c = V^dagger amps this measures the sender register
-    of joint amplitudes amps[x, k] in the basis V."""
-    p = (np.abs(c) ** 2).sum(axis=1)
+    """Weights and unit vectors of the amplitude rows on the last axis of
+    c: p[..., i] = ||c[..., i, :]||^2, set to 0 at or below 1e-15, and
+    unit[..., i, :] = c[..., i, :] / sqrt(p[..., i]), zero where p is 0."""
+    p = (np.abs(c) ** 2).sum(axis=-1)
     p[p <= 1e-15] = 0.0
-    ops = [None] * len(p)
-    for i in np.nonzero(p)[0]:
-        vec = c[i] / math.sqrt(p[i])
-        ops[i] = np.outer(vec, vec.conj())
-    return p, ops
+    root = np.sqrt(p)[..., None]
+    unit = np.divide(c, root, out=np.zeros_like(c), where=root > 0)
+    return p, unit
 
 
-def sender_measurement_dense(blocks: DenseBlocks, theta):
+def sender_measurement_dense(blocks: DenseBlocks, theta) -> np.ndarray:
     """Measure the sender register of every y-block in the per-qubit basis
-    theta. Yields (y, prob_y, p_x_given_y, kept_ops) where kept_ops[x] is
-    the normalized retained-register state (None when p_x = 0)."""
-    vd = product_basis_matrix(theta).conj().T
-    for y, p_y, amp in zip(blocks.ys, blocks.probs, blocks.amps):
-        yield (y, p_y) + row_states(vd @ amp)
+    theta: c[y, x, k] = (V_theta^dagger B_y)[x, k] over the kept outcomes
+    y of `blocks.ys`, so ||c[y, x]||^2 = p(x | y)."""
+    return product_basis_matrix(theta).conj().T @ blocks.amps
 
 
-def direct_blocks_dense(n: int, strategy: AdversaryStrategy, theta):
-    """Direct-protocol counterpart: the sender transmits |x>_theta; yields
-    per x the outcome distribution and kept states: (x, p_y_given_x dict,
-    kept_ops dict)."""
+def direct_blocks_dense(n: int, strategy: AdversaryStrategy, theta
+                        ) -> np.ndarray:
+    """Direct-protocol counterpart, where the sender transmits |x>_theta:
+    the amplitudes out[y, x, k] of U |x>_theta |0^anc>, split into the
+    adversary's outcome y and kept index k, so ||out[y, x]||^2 = p(y | x)."""
     u, kept, anc = _checked_layout(n, strategy)
     v = product_basis_matrix(theta)
-    # out[y, x, k]: amplitudes of U |x>_theta |0^anc>. Each x is its own
-    # matrix-vector product; one matrix product rounds the last bits apart.
+    # Each x is its own matrix-vector product; one matrix product rounds
+    # the last bits apart.
     sent = np.zeros((1 << n, u.shape[0]), dtype=complex)
     sent[:, np.arange(1 << n) << anc] = v.T
-    out = _wire_split(np.stack([u @ s for s in sent]), n + anc, kept)
-    for x in range(1 << n):
-        p, ops = row_states(out[:, x])
-        ys = np.nonzero(p)[0].tolist()
-        yield x, {y: float(p[y]) for y in ys}, {y: ops[y] for y in ys}
+    return _wire_split(np.stack([u @ s for s in sent]), n + anc, kept)
 
 
 # ---------------------------------------------------------------------------

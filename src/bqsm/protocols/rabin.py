@@ -18,7 +18,8 @@ from ..errors import InputError
 from ..hashing import HashFamily
 from .adversary import (AdversaryStrategy, bell_pairwise_xor,
                         direct_blocks_dense, epr_blocks_dense,
-                        product_factors, sender_measurement_dense)
+                        product_factors, row_states,
+                        sender_measurement_dense)
 from .channel import (ChannelModel, PERFECT, check_honest_cap,
                       honest_outcomes)
 from .codes import LinearCode
@@ -90,12 +91,10 @@ def _rabin_adversarial(b, channel, strategy: AdversaryStrategy, n, seed,
     x_int = bits_to_int(x)
     theta = [r] * n
     # phase 1-2: adversary compresses and measures
-    for xi, p_y, _ in direct_blocks_dense(n, strategy, theta):
-        if xi == x_int:
-            ys = sorted(p_y)
-            probs = np.array([p_y[y] for y in ys])
-            y = int(ys[int(rng.choice(len(ys), p=probs / probs.sum()))])
-            break
+    p_y, _ = row_states(direct_blocks_dense(n, strategy, theta)[:, x_int])
+    ys = np.nonzero(p_y)[0]
+    probs = p_y[ys]
+    y = int(ys[int(rng.choice(len(ys), p=probs / probs.sum()))])
     fam = HashFamily(n, 1, "linear")
     if mask == "hash":
         member = fam.sample(rng)
@@ -157,11 +156,13 @@ def _canonical_guess(strategy, n, r, y, member, fam, e, mask, x_true):
 
 def rabin_exact_blocks(n: int, strategy: AdversaryStrategy):
     """EPR-picture blocks for the erasure protocol: yields
-    (r, y, P(r, y), p_x_given_ry, kept_ops)."""
+    (r, y, P(r, y), p_x_given_ry, kept_ops), where kept_ops[x] is the
+    normalized retained-register state (zero where p_x = 0)."""
     blocks = epr_blocks_dense(n, strategy)
     for r in ("+", "x"):
-        for y, p_y, p_x, ops in sender_measurement_dense(blocks, [r] * n):
-            yield r, y, 0.5 * p_y, p_x, ops
+        p_x, unit = row_states(sender_measurement_dense(blocks, [r] * n))
+        for y, p_y, p, u in zip(blocks.ys, blocks.probs, p_x, unit):
+            yield r, y, 0.5 * p_y, p, u[:, :, None] * u[:, None, :].conj()
 
 
 def rabin_cq_state(n: int, q: int, blocks, p_total: float = 1.0) -> CqState:

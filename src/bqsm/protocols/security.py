@@ -19,7 +19,7 @@ from ..entropy import JointDistribution, smooth_min_entropy
 from ..errors import CapacityError, InputError
 from ..hashing import HashFamily
 from ..qstate import (SINGLE_QUBIT_BASES, batched_trace_norm,
-                      product_basis_matrix, trace_norm)
+                      product_basis_matrix, rank1_trace_norm, trace_norm)
 from ..uncertainty import event_from_distributions, genrel_epsilon
 from .adversary import (AdversaryStrategy, direct_blocks_dense,
                         epr_blocks_dense, product_factors, row_states,
@@ -38,33 +38,22 @@ def purification_gap(n: int, strategy: AdversaryStrategy, thetas) -> float:
     EPR-purified cq-states at the memory-bound step, maximized over the
     supplied basis strings (each taken with uniform weight).
 
-    The blocks are classical in (theta, y, x); the gap sums the per-block
-    trace norms, so 0 certifies exact operational equivalence.
+    The blocks are classical in (theta, y, x) and each holds a pure state
+    on the kept register: a = sqrt(p_y) (V_theta^dagger B_y)[x] in the EPR
+    picture and b = 2^{-n/2} (U |x>_theta)[y] in the direct one. The gap
+    sums the rank-1 trace norms ||a a^dagger - b b^dagger||_1, so 0
+    certifies exact operational equivalence.
     """
     total = 0.0
-    w_theta = 1.0 / len(thetas)
     for theta in thetas:
-        epr = {}
         blocks = epr_blocks_dense(n, strategy)
-        for y, p_y, p_x, ops in sender_measurement_dense(blocks, theta):
-            for x in range(1 << n):
-                if p_x[x] > 0:
-                    epr[(y, x)] = (p_y * p_x[x], ops[x])
-        direct = {}
-        for x, p_y, ops in direct_blocks_dense(n, strategy, theta):
-            for y, p in p_y.items():
-                direct[(y, x)] = (p * 2.0 ** (-n), ops[y])
-        keys = set(epr) | set(direct)
-        for k in keys:
-            pe, oe = epr.get(k, (0.0, None))
-            pd, od = direct.get(k, (0.0, None))
-            if oe is None:
-                total += 0.5 * w_theta * pd      # ||p rho||_1 = p
-            elif od is None:
-                total += 0.5 * w_theta * pe
-            else:
-                total += 0.5 * w_theta * trace_norm(pe * oe - pd * od)
-    return total
+        p_x, unit = row_states(sender_measurement_dense(blocks, theta))
+        p_y, direct = row_states(direct_blocks_dense(n, strategy, theta))
+        epr = np.zeros_like(direct)
+        epr[blocks.ys] = unit * np.sqrt(blocks.probs[:, None] * p_x)[..., None]
+        direct *= np.sqrt(p_y * 2.0 ** (-n))[..., None]
+        total += 0.5 * float(rank1_trace_norm(epr, direct).sum())
+    return total / len(thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +151,9 @@ def _rabin_witness(branches, n: int) -> dict:
             continue
         member = fam.member(br.f_index)
         v = product_basis_matrix([br.r] * n)
-        p_x, ops = row_states(v.conj().T @ br.amps)
+        p_x, unit = row_states(v.conj().T @ br.amps)
         for x in np.nonzero(p_x)[0]:
-            op = ops[x] * p_x[x] * br.weight
+            op = np.outer(unit[x], unit[x].conj()) * p_x[x] * br.weight
             bp = br.e ^ fam.eval(member, int(x))
             for a in (0, 1):
                 key = (a, bp, bi)
@@ -189,9 +178,9 @@ def _ot12_witness(branches, n: int) -> dict:
         pad0 = _pad_index(n, [i for i, t in enumerate(theta) if t == "+"])
         pad1 = _pad_index(n, [i for i, t in enumerate(theta) if t == "x"])
         v = product_basis_matrix(theta)
-        p_x, ops = row_states(v.conj().T @ br.amps)
+        p_x, unit = row_states(v.conj().T @ br.amps)
         for x in np.nonzero(p_x)[0]:
-            op = ops[x] * p_x[x] * br.weight
+            op = np.outer(unit[x], unit[x].conj()) * p_x[x] * br.weight
             s0 = fam.eval(member0, int(pad0[x]))
             s1 = fam.eval(member1, int(pad1[x]))
             for cbit, w in p_c.items():
@@ -318,7 +307,8 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
     eps_prime = 2.0 ** (-max(1.0, n / 4.0))
     split_floor = math.inf
     dist = 0.0
-    f_range = np.arange(nf)
+    # (f0, f1) pairs as the leading digits of the flat block cell
+    f_pair = 2 * (nf * np.arange(nf)[:, None] + np.arange(nf))
     kap = _part_value(n, kept_idx)
     for (t_idx, y), m in zip(slices, cols):
         theta = theta_strings[t_idx]
@@ -337,15 +327,19 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
         peak = max(peak0, mass_c1.max(initial=0.0))
         if peak > 0:
             split_floor = min(split_floor, -math.log2(peak))
-        # scatter the block's joint over (f0, f1, d, s0, s1, kept value)
-        acc = np.zeros((nf, nf, 2, s_out, s_out, dim_k))
+        # scatter the block's joint over (f0, f1, d, s0, s1, kept value):
+        # one flat cell per (x, f0, f1), each cell summed in x order
         w = m * 2.0 ** (-n)
-        for x in np.nonzero(w > 0)[0]:
-            acc[f_range[:, None], f_range[None, :], dvec[x],
-                table[:, pad0[x], None], table[None, :, pad1[x]],
-                kap[x]] += w[x]
+        xs = np.nonzero(w > 0)[0]
+        cell = (((f_pair + dvec[xs, None, None]) * s_out
+                 + table[:, pad0[xs]].T[:, :, None]) * s_out
+                + table[:, pad1[xs]].T[:, None, :]) * dim_k \
+            + kap[xs, None, None]
+        acc = np.bincount(cell.ravel(), np.repeat(w[xs], nf * nf),
+                          nf * nf * 2 * s_out * s_out * dim_k)
         ops = _kept_ops(theta, kept_idx)          # (dim_k, dim_k, dim_k)
-        blocks = np.einsum("abdstk,kij->abdstij", acc, ops)
+        blocks = (acc.reshape(-1, dim_k) @ ops.reshape(dim_k, -1)).reshape(
+            nf, nf, 2, s_out, s_out, dim_k, dim_k)
         # sub axes: f0, f1, s0, s1, i, j; the S_{1-D} register is S1 when
         # d = 0 (sum axis 3) and S0 when d = 1 (sum axis 2)
         for d, axis in ((0, 3), (1, 2)):

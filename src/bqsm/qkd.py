@@ -266,20 +266,3 @@ def threshold_table() -> list:
         rows.append({"alphabet": name, "h": h, "p": p_star,
                      "rate": binary_rate(h, p_star)})
     return rows
-
-
-def config_from_json(text: str) -> QkdConfig:
-    import json
-    from .protocols.codes import hamming_7_4, repetition_code
-    obj = json.loads(text)
-    code = None
-    if obj.get("code") == "hamming":
-        code = hamming_7_4(obj.get("p", 0.0))
-    elif isinstance(obj.get("code"), int):
-        code = repetition_code(obj["code"], obj.get("p", 0.0))
-    return QkdConfig(alphabet=obj.get("alphabet", "bb84"),
-                     p=obj.get("p", 0.0),
-                     ec_bits_per_symbol=obj.get("ec_bits_per_symbol"),
-                     memory_qubits=obj.get("memory_qubits", 0),
-                     symbols=obj.get("symbols", 1000),
-                     margin_bits=obj.get("margin_bits", 1.0), code=code)

@@ -306,15 +306,6 @@ def measure(rho: DensityOperator, basis: Basis) -> Distribution:
     return Distribution(range(len(probs)), probs)
 
 
-def measure_pure(psi: PureState, basis: Basis) -> np.ndarray:
-    """Probability vector for a pure state (cheaper than via density)."""
-    if basis.dim != psi.dim:
-        raise InputError("dimension mismatch between state and basis")
-    amps = basis.matrix.conj().T @ psi.amplitudes
-    probs = np.abs(amps) ** 2
-    return probs / probs.sum()
-
-
 def _rotate_density(rho_matrix: np.ndarray, mats) -> np.ndarray:
     """Apply (U_1 x ... x U_n)^dagger rho (U_1 x ... x U_n) without forming
     the Kronecker product."""
@@ -419,6 +410,20 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
 def trace_norm(a: np.ndarray) -> float:
     """Trace norm of a Hermitian matrix: sum of absolute eigenvalues."""
     return float(np.abs(np.linalg.eigvalsh(a)).sum())
+
+
+def rank1_trace_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """||a a^dagger - b b^dagger||_1 for unnormalized vectors on the last
+    axis of a and b: sqrt((|a|^2 - |b|^2)^2 + 4 |a|^2 |b_perp|^2), with
+    b_perp = b - (<a|b> / |a|^2) a the part of b orthogonal to a (b where
+    a = 0). The equal form sqrt((|a|^2 + |b|^2)^2 - 4 |<a|b>|^2) cancels
+    catastrophically when a and b are nearly parallel."""
+    pa = (np.abs(a) ** 2).sum(axis=-1)
+    pb = (np.abs(b) ** 2).sum(axis=-1)
+    overlap = (a.conj() * b).sum(axis=-1)
+    coef = np.divide(overlap, pa, out=np.zeros_like(overlap), where=pa > 0)
+    perp = (np.abs(b - coef[..., None] * a) ** 2).sum(axis=-1)
+    return np.sqrt((pa - pb) ** 2 + 4.0 * pa * perp)
 
 
 def batched_trace_norm(a: np.ndarray) -> float:

@@ -323,7 +323,7 @@ class TestPurification:
         with pytest.raises(InputError):
             epr_blocks_dense(3, s)
         with pytest.raises(InputError):
-            next(direct_blocks_dense(3, s, ["+"] * 3))
+            direct_blocks_dense(3, s, ["+"] * 3)
 
     def test_wire_split_matches_explicit_construction(self):
         # B_y[x, k] = 2^{-n/2} <y, k| U |x, 0>, with y the measured wires
@@ -371,14 +371,9 @@ class TestPurification:
         theta = ["+", "x", "+"]
         d = explicit(lambda x: [SINGLE_QUBIT_BASES[t][:, bit]
                                 for t, bit in zip(theta, bits(x))])
-        for x, p_y, ops in direct_blocks_dense(n, s, theta):
-            norms = (np.abs(d[:, x]) ** 2).sum(axis=1)
-            assert sorted(p_y) == [y for y in range(4) if norms[y] > 1e-15]
-            for y, p in p_y.items():
-                assert p == pytest.approx(norms[y], abs=1e-12)
-                vec = d[y, x] / math.sqrt(p)
-                assert np.allclose(ops[y], np.outer(vec, vec.conj()),
-                                   atol=1e-12)
+        out = direct_blocks_dense(n, s, theta)
+        assert out.shape == d.shape
+        assert np.allclose(out, d, atol=1e-12)
 
 
 class TestReceiverSecurity:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 from bqsm.errors import CapacityError, InputError
 from bqsm.qstate import (Basis, BasisSet, DensityOperator, PureState,
@@ -9,8 +10,9 @@ from bqsm.qstate import (Basis, BasisSet, DensityOperator, PureState,
                          measure, measure_per_qubit, measure_per_qubit_pure,
                          operator_norm, partial_trace, prepare_bb84,
                          product_basis, projector_onto, random_density,
-                         single_qubit_basis, standard_basis_set, tensor,
-                         trace_distance)
+                         rank1_trace_norm, single_qubit_basis,
+                         standard_basis_set, tensor, trace_distance,
+                         trace_norm)
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -201,6 +203,38 @@ class TestDistances:
             red = trace_distance(partial_trace(a, [0, 2]),
                                  partial_trace(b, [0, 2]))
             assert red <= full + 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.integers(0, 2 ** 32), hst.integers(1, 16),
+           hst.sampled_from(["random", "zero_a", "zero_b", "zero_both",
+                             "equal", "near"]))
+    @example(0, 1, "near")
+    @example(1, 16, "near")
+    @example(2, 5, "zero_a")
+    @example(3, 7, "equal")
+    def test_rank1_trace_norm_matches_eigvalsh(self, seed, d, case):
+        # the closed form against the eigenvalues of the explicit
+        # difference of outer products, including nearly parallel vectors
+        rng = np.random.default_rng(seed)
+
+        def vec():
+            return rng.normal(size=d) + 1j * rng.normal(size=d)
+
+        a, b = vec(), vec()
+        if case in ("zero_a", "zero_both"):
+            a[:] = 0
+        if case in ("zero_b", "zero_both"):
+            b[:] = 0
+        if case == "equal":
+            b = a.copy()
+        if case == "near":
+            b = a + 1e-9 * vec()
+        want = trace_norm(np.outer(a, a.conj()) - np.outer(b, b.conj()))
+        assert rank1_trace_norm(a, b) == pytest.approx(want, abs=1e-12,
+                                                       rel=0)
+        # rows of a stack are independent
+        both = rank1_trace_norm(np.stack([a, b]), np.stack([b, a]))
+        assert both == pytest.approx([want, want], abs=1e-12, rel=0)
 
     def test_operator_norm_basics(self):
         assert operator_norm(np.eye(5)) == pytest.approx(1.0)
