@@ -20,12 +20,10 @@ from fractions import Fraction
 import numpy as np
 
 from .bits import parity
-from .entropy import JointDistribution, conditional_renyi, smooth_min_entropy
-from .errors import CapacityError, InputError, PromiseViolation
+from .entropy import (JointDistribution, conditional_renyi,
+                      smooth_min_entropy, split_pointer)
+from .errors import CAPS, InputError, PromiseViolation, check_cap
 from .hashing import NDLF, HashFamily, enumerate_ndlf
-
-MAX_ELL = 8
-MAX_W = 64
 
 
 def _is_exact(arr: np.ndarray) -> bool:
@@ -59,13 +57,11 @@ class OtOutputDistribution:
         m = np.asarray(mass)
         if m.dtype != object:
             m = m.astype(float)
-        if ell > MAX_ELL:
-            raise CapacityError(f"ell={ell} exceeds cap {MAX_ELL}")
+        check_cap("ot-ell", "ell", ell)
         size = 1 << ell
         if m.ndim != 3 or m.shape[0] != size or m.shape[1] != size:
             raise InputError("mass must be (2^l, 2^l, |W|)")
-        if m.shape[2] > MAX_W:
-            raise CapacityError(f"|W|={m.shape[2]} exceeds cap {MAX_W}")
+        check_cap("ot-outputs", "|W|", m.shape[2])
         if any(v < 0 for v in m.flat):
             raise InputError("negative mass")
         total = sum(m.flat)
@@ -207,10 +203,8 @@ def min_pointer_epsilon_lp(dist: OtOutputDistribution) -> float:
     """
     from scipy.optimize import linprog
 
-    if dist.ell != 1:
-        raise CapacityError("LP oracle implemented for l=1")
-    if dist.n_w > 8:
-        raise CapacityError("LP oracle capped at |W| <= 8")
+    check_cap("lp-ell", "ell", dist.ell)
+    check_cap("lp-outputs", "|W|", dist.n_w)
     m = np.asarray([[ [float(v) for v in col] for col in row]
                     for row in dist.mass])
     nw = dist.n_w
@@ -274,16 +268,13 @@ def one_of_n_condition(mass: np.ndarray, ell: int, epsilon: float):
     if m.dtype != object:
         m = m.astype(float)
     n = m.ndim - 1
-    if n > 4 or ell > 2:
-        raise CapacityError("1-of-n check capped at n <= 4, l <= 2")
+    check_cap("one-of-n", "n", n)
+    check_cap("one-of-n-ell", "ell", ell)
     size = 1 << ell
     if m.shape[:n] != (size,) * n:
         raise InputError("mass axes do not match 2^l")
-    exact = _is_exact(m)
-    half = _half(m)
-    worst = 0 * half
+    worst = 0 * _half(m)
     betas = list(enumerate_ndlf(ell))
-    signs = {a: _sign_vector(a, ell, exact) for a in range(1, size)}
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -293,12 +284,7 @@ def one_of_n_condition(mass: np.ndarray, ell: int, epsilon: float):
             perm = [i, j] + rest + [n]
             t = np.transpose(m, perm).reshape(size, size, -1)
             for beta in betas:
-                u, v = signs[beta.a0], signs[beta.a1]
-                val = 0 * half
-                for w in range(t.shape[2]):
-                    s = (u[:, None] * v[None, :] * t[:, :, w]).sum()
-                    val += abs(s)
-                val = half * val
+                val = _beta_distance(t, beta)
                 if val > worst:
                     worst = val
     nu = epsilon / ((1 << (2 * ell)) * n * (n - 1))
@@ -373,7 +359,7 @@ class UotChannel:
         return UotChannel(n, np.array(rows), ys)
 
 
-def _family_sign_tables(fam: HashFamily, exact_n: int) -> dict:
+def _family_sign_tables(fam: HashFamily) -> dict:
     """sign[a][member_index, x] = (-1)^{<a, f(x)>} for each nonzero mask."""
     table = fam.eval_table()
     out = {}
@@ -403,9 +389,8 @@ def reduce_ot_from_uot(n: int, ell: int, kappa: float,
         raise PromiseViolation(
             f"H_2(X|Y) = {h2:.4f} below required {r_min}")
     fam = HashFamily(n, ell, "affine")
-    if fam.size ** 2 > (1 << 22):
-        raise CapacityError("hash family pair space too large")
-    signs = _family_sign_tables(fam, n)
+    check_cap("hash-pair", "2*(n+1)*ell", 2 * (n + 1) * ell)
+    signs = _family_sign_tables(fam)
     nx = 1 << n
     p_y = channel.table.sum(axis=1) / (1 << (2 * n))
     worst = 0.0
@@ -452,7 +437,6 @@ def splitting_reduction(n: int, ell: int, kappa: float,
     fam = HashFamily(n, ell, "linear")
     table = fam.eval_table()
     eps_prime = 2.0 ** (-kappa - 1)
-    thresh = 2.0 ** (-alpha / 2.0)
 
     links = {}
     links["promise"] = h_inf - r_min
@@ -466,13 +450,7 @@ def splitting_reduction(n: int, ell: int, kappa: float,
         py = col.sum()
         if py <= 0:
             continue
-        mxy = col.reshape(nx, nx) / py
-        p_x1 = mxy.sum(axis=0)
-        dvec = (p_x1 >= thresh).astype(int)
-        d_of[yi] = dvec
-        mass_c0 = np.where(dvec == 0, p_x1, 0.0)
-        mass_c1 = (mxy * (dvec == 1)[None, :]).sum(axis=1)
-        peak = max(mass_c0.max(initial=0.0), mass_c1.max(initial=0.0))
+        d_of[yi], peak = split_pointer(col.reshape(nx, nx) / py, alpha)
         worst_split = min(worst_split, -math.log2(peak) if peak else math.inf)
     links["splitting"] = worst_split - alpha / 2.0
 
@@ -502,16 +480,16 @@ def _measured_chain_entropy(channel: UotChannel, fam: HashFamily,
                             table: np.ndarray, d_of: dict,
                             eps_prime: float):
     """Exact H_inf^{eps'}(X_{1-D} | D S_D Y F_D) when the joint fits the
-    dense cap; None otherwise. (The other hash F_{1-D} is independent of
-    everything conditioned on, so it is irrelevant for min-entropy.)"""
+    joint-entries cap; None otherwise. (The other hash F_{1-D} is
+    independent of everything conditioned on, so it is irrelevant for
+    min-entropy.)"""
     n = channel.n
     nx = 1 << n
     nf = fam.size
     size_out = 1 << fam.ell
     cols = 2 * size_out * len(d_of) * nf
-    if nx * cols > (1 << 20):
+    if nx * cols > CAPS["joint-entries"]:
         return None
-    from .entropy import JointDistribution as JD
     mass = np.zeros((nx, cols))
     p_x = 1.0 / (1 << (2 * n))
     col_idx = 0
@@ -531,8 +509,8 @@ def _measured_chain_entropy(channel: UotChannel, fam: HashFamily,
                     mass[:, col_idx] = contrib
                     col_idx += 1
     mass /= nf
-    joint = JD([range(nx), range(col_idx)], mass[:, :col_idx],
-               normalized=True)
+    joint = JointDistribution([range(nx), range(col_idx)],
+                              mass[:, :col_idx], normalized=True)
     h, _ = smooth_min_entropy(joint, eps_prime)
     return h
 

@@ -363,13 +363,12 @@ def _exp_ndlf_perturbation(seed, ell=1, trials=200):
 
 def _exp_splitting(seed, trials=1000, n0=3, n1=3):
     from .entropy import JointDistribution, split_min_entropy
-    import math as _m
     violations = 0
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         m = rng.random((1 << n0, 1 << n1)) ** (1 + t % 3)
         m /= m.sum()
-        alpha = -_m.log2(m.max())
+        alpha = -math.log2(m.max())
         res = split_min_entropy(
             JointDistribution([range(1 << n0), range(1 << n1)], m), alpha)
         if res.achieved < res.bound:
@@ -402,7 +401,6 @@ def _exp_splitting_reduction(seed, n=9, ell=1, kappa=0.25,
         ch = UotChannel.xor(n)
     rec = splitting_reduction(n, ell, kappa, ch, force=True)
     bad = 0 if (not rec["promise_ok"]) or rec["pass"] else 1
-    rec["links"] = {k: v for k, v in rec["links"].items()}
     return {"rows": [rec], "violations": bad}
 
 

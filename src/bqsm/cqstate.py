@@ -19,11 +19,9 @@ import numpy as np
 from .bits import hamming, int_to_str
 from .entropy import (Distribution, JointDistribution, hamming_ball_size,
                       smooth_min_entropy, renyi_entropy)
-from .errors import CapacityError, InputError
+from .errors import InputError, check_cap
 from .hashing import HashFamily
 from .qstate import DensityOperator, batched_trace_norm, trace_norm
-
-FAMILY_CAP = 1 << 20
 
 
 def _as_op(op) -> np.ndarray:
@@ -103,8 +101,7 @@ class CqState:
         classical outcomes in entry order."""
         n_cls = len(self.x)
         d = n_cls * self.dim_e
-        if d > 1 << 14:
-            raise CapacityError(f"assembled dimension {d} too large")
+        check_cap("cq-dimension", "dim", d)
         out = np.zeros((d, d), dtype=complex)
         de = self.dim_e
         for i, (pv, o) in enumerate(zip(self.p, self.ops)):
@@ -232,19 +229,10 @@ def _check_family_domain(state: CqState, family: HashFamily):
         raise InputError("hash family domain does not match X labels")
 
 
-def _check_family_cap(family: HashFamily):
-    if family.size > FAMILY_CAP:
-        raise CapacityError(
-            f"n*ell={family.n * family.ell} gives {family.size} members, "
-            f"over the exhaustive-averaging cap "
-            f"2^{FAMILY_CAP.bit_length() - 1}; lower n or ell")
-
-
 def pa_output_state(state: CqState, family: HashFamily) -> CqState:
     """Exact hashed state over ((F(X), F), U) x E, averaging over the whole
     family (capacity-capped)."""
     _check_family_domain(state, family)
-    _check_family_cap(family)
     de = state.dim_e
     acc: dict = {}
     weight = 1.0 / family.size
@@ -291,7 +279,6 @@ def pa_distance(state: CqState, family: HashFamily,
     2^l offsets when affine); see `HashFamily.row_space_classes`.
     """
     _check_family_domain(state, family)
-    _check_family_cap(family)
     groups = [(np.array([int(xv, 2) for xv in xs]),
                np.asarray(ops) * ps[:, None, None])
               for _, xs, ps, ops in _blocks_by_u(state)]
@@ -333,8 +320,7 @@ def pa_distance_slow(state: CqState, family: HashFamily,
     vectorized path in the tests. Its size * 2^l * |U| terms are added
     exactly (`math.fsum`), so its own rounding stays below 1e-12."""
     _check_family_domain(state, family)
-    if family.size > 1 << 12:
-        raise CapacityError("reference path is deliberately small")
+    check_cap("pa-oracle", "members", family.size)
     ell = family.ell
     de = state.dim_e
     n_out = 1 << ell
@@ -365,7 +351,6 @@ def classical_lhl_distance(p_x: Distribution, family: HashFamily
     lens = {len(o) for o in p_x.outcomes}
     if len(lens) != 1 or lens.pop() != family.n:
         raise InputError("hash family domain does not match the alphabet")
-    _check_family_cap(family)
     mass = np.asarray([float(v) for v in p_x.mass])
     exact = _class_average(
         [(np.array([int(o, 2) for o in p_x.outcomes]),

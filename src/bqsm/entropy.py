@@ -19,10 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapacityError, InputError, PromiseViolation
+from .errors import InputError, PromiseViolation, check_cap
 
 MASS_TOL = 1e-12
-JOINT_CAP = 1 << 20
 
 
 def _log2(x) -> float:
@@ -109,8 +108,7 @@ class JointDistribution:
             m = m.astype(float)
         if m.shape != tuple(len(a) for a in self.axes):
             raise InputError("mass tensor does not match axis alphabets")
-        if m.size > JOINT_CAP:
-            raise CapacityError(f"joint with {m.size} entries exceeds cap")
+        check_cap("joint-entries", "entries", m.size)
         if any(v < 0 for v in m.flat):
             raise InputError("negative probability mass")
         total = sum(m.flat)
@@ -449,16 +447,21 @@ def split_min_entropy(p: JointDistribution, alpha: float) -> SplitResult:
     if h_joint < alpha - 1e-9:
         raise PromiseViolation(
             f"joint min-entropy {h_joint:.6f} below alpha={alpha}")
+    c_vec, peak = split_pointer(m, alpha)
+    return SplitResult(dict(zip(p.axes[1], c_vec.tolist())), -_log2(peak),
+                       alpha / 2.0)
+
+
+def split_pointer(m: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
+    """The splitting pointer of a mass array m[x0, x1]: C = 1 iff
+    P_{X1}(x1) >= 2^(-alpha/2), as a 0/1 int vector over x1, and the
+    largest mass of the pair (X_{1-C}, C)."""
     p_x1 = m.sum(axis=0)
-    thresh = 2.0 ** (-alpha / 2.0)
-    c_by_x1 = {lab: (1 if p_x1[j] >= thresh else 0)
-               for j, lab in enumerate(p.axes[1])}
-    c_vec = np.array([c_by_x1[lab] for lab in p.axes[1]])
+    c_vec = (p_x1 >= 2.0 ** (-alpha / 2.0)).astype(int)
     # masses of the pair (X_{1-C}, C): when C=0 report X1, when C=1 report X0
     mass_c0 = np.where(c_vec == 0, p_x1, 0.0)          # indexed by x1
     mass_c1 = (m * (c_vec == 1)).sum(axis=1)           # indexed by x0
-    peak = max(mass_c0.max(initial=0.0), mass_c1.max(initial=0.0))
-    return SplitResult(c_by_x1, -_log2(peak), alpha / 2.0)
+    return c_vec, max(mass_c0.max(initial=0.0), mass_c1.max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -476,13 +479,18 @@ def binary_entropy(p: float) -> float:
 
 def inverse_binary_entropy(h: float) -> float:
     """Lower branch of h^{-1}: the unique p <= 1/2 with h(p) = h,
-    by bisection to 1e-9."""
+    by bisection to 1e-9 (29 halvings of [0, 1/2])."""
     if h < 0 or h > 1:
         raise InputError(f"h={h} outside [0, 1]")
-    lo, hi = 0.0, 0.5
-    while hi - lo > 1e-9:
+    return bisect(binary_entropy, h, 0.0, 0.5, 29)
+
+
+def bisect(f, target: float, lo: float, hi: float, steps: int) -> float:
+    """Midpoint of [lo, hi] after `steps` halvings toward f(p) = target,
+    for f increasing on [lo, hi]."""
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < h:
+        if f(mid) < target:
             lo = mid
         else:
             hi = mid

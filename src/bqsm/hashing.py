@@ -17,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import bits_to_int, parity, parity_u64
-from .errors import CapacityError, InputError
-
-ENUM_CAP = 1 << 20
+from .errors import InputError, check_cap
 
 
 @dataclass(frozen=True)
@@ -105,10 +103,14 @@ class HashFamily:
             offset = bits_to_int(rng.integers(0, 2, self.ell))
         return HashMember(rows, offset)
 
+    def _check_size(self):
+        """Refuse enumerating more than 2^CAPS["hash-family"] members."""
+        check_cap("hash-family",
+                  "n*ell" if self.kind == "linear" else "(n+1)*ell",
+                  self.size.bit_length() - 1)
+
     def members(self):
-        if self.size > ENUM_CAP:
-            raise CapacityError(
-                f"family of size {self.size} exceeds the enumeration cap")
+        self._check_size()
         return (self.member(i) for i in range(self.size))
 
     def eval_table(self) -> np.ndarray:
@@ -118,8 +120,8 @@ class HashFamily:
         is a parity table, and rows/offsets are independent coordinates of
         the member index.
         """
-        if self.size > ENUM_CAP or (self.size << self.n) > (ENUM_CAP << 6):
-            raise CapacityError("eval table too large")
+        self._check_size()
+        check_cap("hash-table", "members*2^n", self.size << self.n)
         xs = np.arange(1 << self.n, dtype=np.uint64)
         row_vals = np.arange(1 << self.n, dtype=np.uint64)
         par = parity_u64(row_vals[:, None] & xs[None, :]).astype(np.uint32)
@@ -146,17 +148,12 @@ class HashFamily:
         most 2^20 cells: table[i, x] = C x for the slice's i-th row space;
         prod_{i<r} (2^l - 2^i) members share each, times 2^l if affine.
         """
-        if self.size > ENUM_CAP:
-            raise CapacityError(
-                f"family of size {self.size} exceeds the enumeration cap")
+        self._check_size()
         maps = [_echelon_maps(self.n, r)
                 for r in range(min(self.n, self.ell) + 1)]
         classes = sum(len(m) for m in maps)
-        if (classes << self.n) > (ENUM_CAP << 6):
-            raise CapacityError(
-                f"n={self.n} gives {classes} row-space classes on 2^{self.n} "
-                f"inputs, over the class-table cap 2^26 cells; lower n")
-        step = max(1, ENUM_CAP >> self.n)
+        check_cap("hash-table", "classes*2^n", classes << self.n)
+        step = max(1, (1 << 20) >> self.n)
         for r, unit in enumerate(maps):
             count = math.prod((1 << self.ell) - (1 << i) for i in range(r))
             count <<= self.ell if self.kind == "affine" else 0
@@ -281,8 +278,7 @@ def enumerate_ndlf(ell: int):
     """All (2^l - 1)^2 non-degenerate linear functions on l-bit pairs."""
     if ell < 1:
         raise InputError("ell must be positive")
-    if ell > 16:
-        raise CapacityError("NDLF enumeration capped at ell <= 16")
+    check_cap("ndlf-ell", "ell", ell)
     for a0 in range(1, 1 << ell):
         for a1 in range(1, 1 << ell):
             yield NDLF(a0, a1, ell)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import shannon_entropy
+from .entropy import binary_entropy, bisect, shannon_entropy
 from .errors import PromiseViolation
 
 
@@ -62,16 +62,8 @@ def floor_hugging_chain(alphabet: int, entropy_floor: float) -> MarkovSource:
 
 
 def _solve_spread(k: int, target: float) -> float:
-    from .entropy import binary_entropy
-    lo, hi = 0.0, 1.0 - 1.0 / k
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        h = binary_entropy(mid) + mid * math.log2(k - 1)
-        if h < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda p: binary_entropy(p) + p * math.log2(k - 1),
+                  target, 0.0, 1.0 - 1.0 / k, 80)
 
 
 def accumulated_min_entropy_markov(model: MarkovSource, n: int, lam: float,

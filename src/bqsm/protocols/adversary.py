@@ -21,10 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CapacityError, InputError
+from ..errors import InputError, check_cap
 from ..qstate import SINGLE_QUBIT_BASES, bell_basis, product_basis_matrix
-
-DENSE_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -125,15 +123,6 @@ def custom_compression(unitary, kept, ancillas: int = 0
                              "custom")
 
 
-BUILTIN_STRATEGIES = {
-    "store_prefix": store_prefix,
-    "measure_fixed": measure_fixed,
-    "breitbart": breitbart_strategy,
-    "bell_pairwise_xor": bell_pairwise_xor,
-    "full_memory": full_memory,
-}
-
-
 # ---------------------------------------------------------------------------
 # dense engine
 # ---------------------------------------------------------------------------
@@ -154,9 +143,7 @@ class DenseBlocks:
 def _checked_layout(n: int, strategy: AdversaryStrategy):
     """The strategy's (unitary, kept wires, ancillas), checked against the
     dense-engine cap, the unitary's dimension and the wire count."""
-    if n > DENSE_CAP:
-        raise CapacityError(f"n={n} exceeds the dense-engine cap "
-                            f"{DENSE_CAP}; lower n")
+    check_cap("dense-engine", "n", n)
     u, kept, anc = strategy.dense_layout(n)
     if u.shape != (1 << (n + anc),) * 2:
         raise InputError("compression unitary has the wrong dimension")
@@ -215,12 +202,9 @@ def direct_blocks_dense(n: int, strategy: AdversaryStrategy, theta
     the amplitudes out[y, x, k] of U |x>_theta |0^anc>, split into the
     adversary's outcome y and kept index k, so ||out[y, x]||^2 = p(y | x)."""
     u, kept, anc = _checked_layout(n, strategy)
-    v = product_basis_matrix(theta)
-    # Each x is its own matrix-vector product; one matrix product rounds
-    # the last bits apart.
-    sent = np.zeros((1 << n, u.shape[0]), dtype=complex)
-    sent[:, np.arange(1 << n) << anc] = v.T
-    return _wire_split(np.stack([u @ s for s in sent]), n + anc, kept)
+    cols = np.arange(1 << n) << anc
+    return _wire_split((u[:, cols] @ product_basis_matrix(theta)).T,
+                       n + anc, kept)
 
 
 # ---------------------------------------------------------------------------

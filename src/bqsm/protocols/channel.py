@@ -2,8 +2,8 @@
 with dark counts and empty pulses folded into the two effective parameters.
 
 Also the honest path every protocol shares: honest parties measure on
-arrival, so each outcome is one classical draw and runs scale to
-`HONEST_CAP` qubits."""
+arrival, so each outcome is one classical draw and runs scale to the
+`honest-path` cap of `errors.CAPS`."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CapacityError, InputError
+from ..errors import InputError
 
 
 def effective_weak_parameters(phi_x: float, eta_mq: float,
@@ -58,16 +58,6 @@ class ChannelModel:
 
 
 PERFECT = ChannelModel()
-
-
-HONEST_CAP = 100_000
-
-
-def check_honest_cap(value: int, param: str = "n"):
-    """Refuse an honest run longer than HONEST_CAP, naming the parameter."""
-    if value > HONEST_CAP:
-        raise CapacityError(f"{param}={value} exceeds the honest-path cap "
-                            f"{HONEST_CAP}; lower {param}")
 
 
 def honest_outcomes(rng, x: np.ndarray, match, phi: float) -> np.ndarray:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from ..entropy import binary_entropy
-from ..errors import CapacityError, InputError
+from ..errors import InputError, check_cap
 
 
 class LinearCode:
@@ -26,8 +26,7 @@ class LinearCode:
             raise InputError("parity-check matrix must be 2-d")
         self.h = h
         self.s, self.length = h.shape
-        if self.length > 24:
-            raise CapacityError("coset-table decoding capped at length 24")
+        check_cap("coset-table", "length", self.length)
         if self.s >= self.length:
             raise InputError("syndrome length must be below block length")
         self.leaders = self._coset_leaders()

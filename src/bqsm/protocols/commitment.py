@@ -20,14 +20,12 @@ import numpy as np
 
 from ..bits import bits_to_str
 from ..entropy import hamming_ball_size
-from ..errors import CapacityError, InputError, PromiseViolation
+from ..errors import InputError, PromiseViolation, check_cap
 from ..uncertainty import event_from_distributions
 from .adversary import AdversaryStrategy, product_factors
-from .channel import ChannelModel, check_honest_cap, honest_outcomes
+from .channel import ChannelModel, honest_outcomes
 from .security import _pick_lambda
 from .transcript import ProtocolTranscript
-
-BINDING_CAP = 16
 
 
 def run_commitment(b: int, channel: ChannelModel, committer, n: int,
@@ -38,7 +36,7 @@ def run_commitment(b: int, channel: ChannelModel, committer, n: int,
     if committer != "honest":
         raise InputError("adversarial committers go through "
                          "binding_experiment")
-    check_honest_cap(n)
+    check_cap("honest-path", "n", n)
     phi, _ = channel.effective()
     if variant == "comm":
         tol = 0.0
@@ -173,10 +171,7 @@ def _binding_event(strategy, n):
     conditional entropy are the same for every y; one canonical y suffices
     and the per-y analysis is exact.
     """
-    if n > BINDING_CAP:
-        raise CapacityError(f"n={n} exceeds the binding-audit cap "
-                            f"{BINDING_CAP} (the audit enumerates 2^n "
-                            "outcome strings); lower n")
+    check_cap("binding-audit", "n", n)
     factors = product_factors(n, strategy)
     vecs = []
     for basis_b in ("+", "x"):

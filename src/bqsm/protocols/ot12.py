@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..bits import bits_to_str
-from ..errors import InputError
+from ..errors import InputError, check_cap
 from ..hashing import HashFamily, pad_substring
-from .channel import ChannelModel, check_honest_cap, honest_outcomes
+from .channel import ChannelModel, honest_outcomes
 from .codes import LinearCode
 from .transcript import ProtocolTranscript
 
@@ -30,7 +30,7 @@ def run_ot12(c: int, channel: ChannelModel, receiver, n: int, ell: int,
     if receiver != "honest":
         raise InputError(
             "adversarial 1-2 OT runs go through sender_security_distance")
-    check_honest_cap(n)
+    check_cap("honest-path", "n", n)
     phi, _ = channel.effective()
     rng = np.random.default_rng(seed)
     tr = ProtocolTranscript(f"ot12_{direction}", seed, n)

@@ -14,14 +14,13 @@ import numpy as np
 
 from ..bits import bits_to_int, bits_to_str, int_to_str
 from ..cqstate import CqState
-from ..errors import InputError
+from ..errors import InputError, check_cap
 from ..hashing import HashFamily
 from .adversary import (AdversaryStrategy, bell_pairwise_xor,
                         direct_blocks_dense, epr_blocks_dense,
                         product_factors, row_states,
                         sender_measurement_dense)
-from .channel import (ChannelModel, PERFECT, check_honest_cap,
-                      honest_outcomes)
+from .channel import ChannelModel, PERFECT, honest_outcomes
 from .codes import LinearCode
 from .transcript import ProtocolTranscript
 
@@ -46,7 +45,7 @@ def run_rabin_ot(b: int, channel: ChannelModel, receiver, n: int, seed: int,
 
 
 def _rabin_honest(b, channel, n, seed, mask) -> ProtocolTranscript:
-    check_honest_cap(n)
+    check_cap("honest-path", "n", n)
     phi, _ = channel.effective()
     rng = _rng(seed)
     tr = ProtocolTranscript("rabin_ot", seed, n)
@@ -285,7 +284,7 @@ def run_bb84_rabin_ot(b: int, channel: ChannelModel, receiver, n: int,
     rng = _rng(seed)
     if receiver != "honest":
         return _bb84_adversarial(b, channel, receiver, n, code, seed)
-    check_honest_cap(n)
+    check_cap("honest-path", "n", n)
     tr = ProtocolTranscript("bb84_rabin_ot", seed, n)
     x = rng.integers(0, 2, size=n, dtype=np.uint8)
     theta = np.where(rng.integers(0, 2, size=n) == 0, "+", "x")

@@ -15,8 +15,8 @@ import numpy as np
 
 from ..bits import int_to_str
 from ..cqstate import pa_distance
-from ..entropy import JointDistribution, smooth_min_entropy
-from ..errors import CapacityError, InputError
+from ..entropy import JointDistribution, smooth_min_entropy, split_pointer
+from ..errors import InputError, check_cap
 from ..hashing import HashFamily
 from ..qstate import (SINGLE_QUBIT_BASES, batched_trace_norm,
                       product_basis_matrix, rank1_trace_norm, trace_norm)
@@ -25,8 +25,6 @@ from .adversary import (AdversaryStrategy, direct_blocks_dense,
                         epr_blocks_dense, product_factors, row_states,
                         sender_measurement_dense)
 from .rabin import rabin_cq_state, rabin_exact_blocks
-
-OT12_AUDIT_CAP = 6
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +265,10 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
     uncertainty -> splitting -> chain-rule -> PA audit."""
     if not strategy.is_product():
         raise InputError("1-2 OT audit expects a product strategy")
-    if n > OT12_AUDIT_CAP:
-        raise CapacityError(f"n={n} exceeds the two-hash assembly cap "
-                            f"{OT12_AUDIT_CAP}; lower n")
+    check_cap("ot12-audit", "n", n)
     q = strategy.memory_qubits(n)
+    # blocks below hold (f0, f1, d, s0, s1, kept, kept) cells per (theta, y)
+    check_cap("ot12-block", "2*(n+1)*ell+2*q+1", 2 * (n + 1) * ell + 2 * q + 1)
     lam = lam if lam is not None else 0.1
     factors = product_factors(n, strategy)
     kept_idx = [i for i, f in enumerate(factors) if f.kept]
@@ -316,15 +314,11 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
         i1 = [i for i in range(n) if theta[i] == "x"]
         pad0 = _pad_index(n, i0)
         pad1 = _pad_index(n, i1)
-        cond = m / m.sum()
-        x1_val = _part_value(n, i1)
-        p_x1 = np.bincount(x1_val, weights=cond, minlength=1 << n)
-        dvec = (p_x1[x1_val] >= 2.0 ** (-alpha / 2.0)).astype(int)
-        peak0 = np.where(dvec == 0, p_x1[x1_val], 0).max(initial=0.0)
-        mass_c1 = np.zeros(1 << n)
-        x0_val = _part_value(n, i0)
-        np.add.at(mass_c1, x0_val[dvec == 1], cond[dvec == 1])
-        peak = max(peak0, mass_c1.max(initial=0.0))
+        x0_val, x1_val = _part_value(n, i0), _part_value(n, i1)
+        grid = np.zeros((1 << len(i0), 1 << len(i1)))
+        grid[x0_val, x1_val] = m / m.sum()
+        d_x1, peak = split_pointer(grid, alpha)
+        dvec = d_x1[x1_val]
         if peak > 0:
             split_floor = min(split_floor, -math.log2(peak))
         # scatter the block's joint over (f0, f1, d, s0, s1, kept value):

@@ -16,9 +16,9 @@ import numpy as np
 from .bits import bits_to_str, int_to_str
 from .cqstate import CqState, pa_distance
 from .entropy import binary_entropy, inverse_binary_entropy
-from .errors import CapacityError, InputError
+from .errors import InputError, check_cap
 from .hashing import HashFamily, gf2_matvec_stream
-from .protocols.channel import check_honest_cap, honest_outcomes
+from .protocols.channel import honest_outcomes
 from .protocols.codes import LinearCode
 from .qstate import SINGLE_QUBIT_BASES
 
@@ -114,7 +114,7 @@ def key_length(config: QkdConfig, sifted: int) -> int:
 def run_qkd(config: QkdConfig, seed: int) -> dict:
     """Honest execution of the one-way protocol; returns sifted strings,
     syndrome, final keys and a transcript-style record."""
-    check_honest_cap(config.symbols, "symbols")
+    check_cap("honest-path", "symbols", config.symbols)
     rng = np.random.default_rng(seed)
     labels = ALPHABETS[config.alphabet]
     k = len(labels)
@@ -182,9 +182,7 @@ def rate_bound_check(config: QkdConfig, eve: Eavesdropper, m: int,
     applies to every conditional ccq-state, and the bound is evaluated on
     the same conditional.
     """
-    if m > RATE_CHECK_CAP:
-        raise CapacityError(f"m={m} exceeds the exact-assembly cap "
-                            f"{RATE_CHECK_CAP} sifted symbols; lower m")
+    check_cap("rate-check", "m", m)
     rng = np.random.default_rng(seed)
     labels = ALPHABETS[config.alphabet]
     theta = [labels[int(rng.integers(len(labels)))] for _ in range(m)]

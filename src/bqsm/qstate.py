@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bits import int_to_str
-from .errors import CapacityError, InputError
+from .errors import InputError, check_cap
 from .entropy import Distribution
 
 ATOL = 1e-10
 MEAS_TOL = 1e-9
-MAX_QUBITS = 14
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -45,8 +44,7 @@ SINGLE_QUBIT_BASES = {
 def _check_qubits(n: int):
     if n < 1:
         raise InputError("need at least one qubit")
-    if n > MAX_QUBITS:
-        raise CapacityError(f"{n} qubits exceeds the dense cap of {MAX_QUBITS}")
+    check_cap("dense-qubits", "n", n)
 
 
 class PureState:
@@ -106,9 +104,8 @@ class DensityOperator:
             raise InputError("density operator must be a square matrix")
         d = m.shape[0]
         n = int(round(math.log2(d))) if d > 1 else 0
-        if 2 ** n == d and n > MAX_QUBITS:
-            raise CapacityError(
-                f"{n} qubits exceeds the dense cap of {MAX_QUBITS}")
+        if 2 ** n == d > 1:
+            _check_qubits(n)
         if check:
             if np.abs(m - m.conj().T).max() > ATOL:
                 raise InputError("matrix is not Hermitian")

@@ -19,12 +19,11 @@ from scipy.optimize import minimize
 
 from .bits import int_to_str
 from .entropy import (JointDistribution, shannon_entropy, smooth_min_entropy)
-from .errors import CapacityError, InputError, PromiseViolation
+from .errors import InputError, PromiseViolation, check_cap
 from .qstate import (BasisSet, PureState, measure,
                      measure_per_qubit_pure, standard_basis_set)
 
 SLACK_TOL = 1e-9
-MAX_N = 12
 
 
 @dataclass
@@ -64,7 +63,6 @@ def _two_basis_probs(rho) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _set_probability(q: np.ndarray, labels) -> float:
-    n = int(math.log2(len(q)))
     return float(sum(q[int(s, 2) if isinstance(s, str) else int(s)]
                      for s in labels))
 
@@ -72,8 +70,7 @@ def _set_probability(q: np.ndarray, labels) -> float:
 def two_basis_relation(rho, l_plus, l_times) -> RelationReport:
     """Q+(L+) + Qx(Lx) <= 1 + 2^{-n/2} sqrt(|L+| |Lx|)."""
     n = rho.n
-    if n > MAX_N:
-        raise CapacityError(f"n={n} exceeds cap {MAX_N}")
+    check_cap("relation-qubits", "n", n)
     q_plus, q_times = _two_basis_probs(rho)
     lhs = _set_probability(q_plus, l_plus) + _set_probability(q_times, l_times)
     rhs = 1.0 + 2.0 ** (-n / 2.0) * math.sqrt(len(l_plus) * len(l_times))
@@ -148,10 +145,6 @@ class EventConstruction:
     @property
     def prob_sum(self) -> float:
         return self.prob_plus + self.prob_times
-
-    def event_probability(self) -> float:
-        """Pr[E] for uniform basis choice."""
-        return 0.5 * (self.prob_plus + self.prob_times)
 
 
 def event_construction(rho, lam: float, n: int | None = None
@@ -323,8 +316,7 @@ def second_relation_sample(rho, basis_labels, h: float, lam: float,
     Per-slice plain min-entropies are reported alongside.
     """
     n = rho.n
-    if n > MAX_N:
-        raise CapacityError(f"n={n} exceeds cap {MAX_N}")
+    check_cap("relation-qubits", "n", n)
     if not 0 < lam < 0.5:
         raise InputError("lam must be in (0, 1/2)")
     eps = genrel_epsilon(n, lam, len(basis_labels), 2)

@@ -1,0 +1,99 @@
+"""The capacity table: every cap refuses a value just past it with the
+one message format, and no module raises a capacity error of its own."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from bqsm.classical_ot import (OtOutputDistribution, UotChannel,
+                               min_pointer_epsilon_lp, one_of_n_condition,
+                               reduce_ot_from_uot)
+from bqsm.cqstate import CqState, pa_distance_slow
+from bqsm.entropy import JointDistribution
+from bqsm.errors import CAPS, CapacityError
+from bqsm.hashing import HashFamily, enumerate_ndlf
+from bqsm.protocols import (LinearCode, binding_experiment,
+                            sender_security_distance, store_prefix)
+from bqsm.protocols.adversary import epr_blocks_dense
+from bqsm.qkd import Eavesdropper, QkdConfig, rate_bound_check, run_qkd
+from bqsm.qstate import haar_state
+from bqsm.uncertainty import two_basis_relation
+
+
+def _labels(n, k):
+    return tuple(format(i, f"0{n}b") for i in range(k))
+
+
+# cap name -> (call just past the cap, "param=value" it must name)
+PAST_CAP = {
+    "dense-qubits": (lambda: haar_state(15, np.random.default_rng(0)),
+                     "n=15"),
+    "cq-dimension": (lambda: CqState(
+        _labels(15, 16385), np.full(16385, 1 / 16385),
+        (np.ones((1, 1)),) * 16385, 0).assemble(), "dim=16385"),
+    "joint-entries": (lambda: JointDistribution(
+        [range(1025), range(1024)], np.zeros((1025, 1024)),
+        normalized=False), "entries=1049600"),
+    "hash-family": (lambda: HashFamily(21, 1).members(), "n*ell=21"),
+    "hash-table": (lambda: HashFamily(9, 2).eval_table(),
+                   "members*2^n=134217728"),
+    "hash-pair": (lambda: reduce_ot_from_uot(
+        5, 2, 0.5, UotChannel.xor(5), force=True), "2*(n+1)*ell=24"),
+    "pa-oracle": (lambda: pa_distance_slow(
+        CqState(_labels(13, 1), [1.0], (np.ones((1, 1)),), 0),
+        HashFamily(13, 1)), "members=8192"),
+    "ndlf-ell": (lambda: next(enumerate_ndlf(17)), "ell=17"),
+    "ot-ell": (lambda: OtOutputDistribution(np.ones((1, 1, 1)), 9),
+               "ell=9"),
+    "ot-outputs": (lambda: OtOutputDistribution(
+        np.full((2, 2, 65), 1 / 260), 1), "|W|=65"),
+    "lp-ell": (lambda: min_pointer_epsilon_lp(OtOutputDistribution(
+        np.full((4, 4, 1), 1 / 16), 2)), "ell=2"),
+    "lp-outputs": (lambda: min_pointer_epsilon_lp(OtOutputDistribution(
+        np.full((2, 2, 9), 1 / 36), 1)), "|W|=9"),
+    "one-of-n": (lambda: one_of_n_condition(
+        np.full((2,) * 5 + (1,), 1 / 32), 1, 0.1), "n=5"),
+    "one-of-n-ell": (lambda: one_of_n_condition(
+        np.full((8, 8, 1), 1 / 64), 3, 0.1), "ell=3"),
+    "relation-qubits": (lambda: two_basis_relation(
+        haar_state(13, np.random.default_rng(0)), [], []), "n=13"),
+    "dense-engine": (lambda: epr_blocks_dense(13, store_prefix(1)),
+                     "n=13"),
+    "binding-audit": (lambda: binding_experiment(store_prefix(1), 17),
+                      "n=17"),
+    "honest-path": (lambda: run_qkd(QkdConfig(symbols=100_001), 0),
+                    "symbols=100001"),
+    "ot12-audit": (lambda: sender_security_distance(
+        store_prefix(1), "ot12", 7), "n=7"),
+    "ot12-block": (lambda: sender_security_distance(
+        store_prefix(0), "ot12", 5, ell=2), "2*(n+1)*ell+2*q+1=25"),
+    "rate-check": (lambda: rate_bound_check(
+        QkdConfig(ec_bits_per_symbol=0.0), Eavesdropper("trivial"), 11, 0),
+        "m=11"),
+    "coset-table": (lambda: LinearCode(np.eye(1, 25, dtype=np.uint8)),
+                    "length=25"),
+}
+
+
+def test_every_cap_has_a_case():
+    assert set(PAST_CAP) == set(CAPS)
+
+
+@pytest.mark.parametrize("name", sorted(CAPS))
+def test_cap_refuses_a_value_just_past_it(name):
+    call, named = PAST_CAP[name]
+    with pytest.raises(CapacityError) as err:
+        call()
+    param = named.split("=")[0]
+    assert str(err.value) == (f"{named} exceeds the {name} cap "
+                              f"{CAPS[name]}; lower {param}")
+
+
+def test_only_check_cap_raises_capacity_errors():
+    src = Path(__file__).resolve().parents[1] / "src" / "bqsm"
+    sites = [(path.name, line.strip())
+             for path in sorted(src.rglob("*.py"))
+             for line in path.read_text().splitlines()
+             if "raise CapacityError" in line]
+    assert len(sites) == 1 and sites[0][0] == "errors.py", sites

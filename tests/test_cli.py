@@ -118,6 +118,9 @@ class TestProcessInterface:
         # hash families past the exhaustive-averaging cap
         (("lhl-classical", "n=11", "ell=2"), 2, "n*ell=22"),
         (("pa-quantum", "n=7", "q=1", "ell=3"), 2, "n*ell=21"),
+        # the (f0, f1, d, s0, s1, k, k) block array, 2^27 cells here
+        (("sender-security", "protocol=ot12", "n=5", "ell=2"), 2,
+         "2*(n+1)*ell+2*q+1=27"),
     ])
     def test_library_errors_exit_2_with_json(self, params, code, named,
                                              tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bqsm.errors import CapacityError, InputError
+from bqsm.errors import CAPS, CapacityError, InputError
 from bqsm.protocols import (ChannelModel, LinearCode, binding_experiment,
                             bell_pairwise_xor, bell_xor_attack,
                             breitbart_attack, breitbart_strategy,
@@ -16,12 +16,14 @@ from bqsm.protocols import (ChannelModel, LinearCode, binding_experiment,
                             run_bb84_rabin_ot, run_commitment, run_ot12,
                             run_rabin_ot, random_code,
                             sender_security_distance, store_prefix)
-from bqsm.protocols.channel import HONEST_CAP, PERFECT
+from bqsm.protocols.channel import PERFECT
 from bqsm.protocols.commitment import opening_success
 from bqsm.protocols.security import (entangled_rabin_sender,
                                      garbage_rabin_sender,
                                      honest_rabin_sender)
 from bqsm.qkd import QkdConfig, run_qkd
+
+HONEST_CAP = CAPS["honest-path"]
 
 
 class TestChannelModel:
