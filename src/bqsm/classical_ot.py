@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,27 +25,9 @@ from .errors import CAPS, InputError, PromiseViolation, check_cap
 from .hashing import NDLF, HashFamily, enumerate_ndlf
 
 
-def _is_exact(arr: np.ndarray) -> bool:
-    return arr.dtype == object
-
-
-def _half(arr: np.ndarray):
-    return Fraction(1, 2) if _is_exact(arr) else 0.5
-
-
-def _inv_pow2(arr: np.ndarray, k: int):
-    return Fraction(1, 1 << k) if _is_exact(arr) else 2.0 ** -k
-
-
-def _sign_vector(mask: int, ell: int, exact: bool) -> np.ndarray:
-    """(-1)^{<mask, s>} over all s, as ints (exact) or floats."""
-    vals = [1 - 2 * parity(mask & s) for s in range(1 << ell)]
-    if exact:
-        out = np.empty(1 << ell, dtype=object)
-        for i, v in enumerate(vals):
-            out[i] = Fraction(v)
-        return out
-    return np.asarray(vals, dtype=float)
+def _sign_vector(mask: int, ell: int) -> np.ndarray:
+    """(-1)^{<mask, s>} over all s, as ints."""
+    return np.array([1 - 2 * parity(mask & s) for s in range(1 << ell)])
 
 
 class OtOutputDistribution:
@@ -104,15 +85,13 @@ class PointerExtension:
 def _beta_distance(mass: np.ndarray, beta: NDLF):
     """delta(P_{beta(S0,S1) W}, unif . P_W) = 1/2 sum_w |sum_{s0,s1}
     (-1)^beta mass|."""
-    exact = _is_exact(mass)
-    u = _sign_vector(beta.a0, beta.ell, exact)
-    v = _sign_vector(beta.a1, beta.ell, exact)
-    half = _half(mass)
-    tot = 0 * half
+    u = _sign_vector(beta.a0, beta.ell)
+    v = _sign_vector(beta.a1, beta.ell)
+    tot = 0
     for w in range(mass.shape[2]):
         s = (u[:, None] * v[None, :] * mass[:, :, w]).sum()
         tot += abs(s)
-    return half * tot
+    return tot / 2
 
 
 def xor_uniformity(dist: OtOutputDistribution):
@@ -138,25 +117,22 @@ def sender_security_of_extension(extended: np.ndarray):
     """delta(P_{S_{1-D} S_D D W}, unif^l . P_{S_D D W}) for an explicit
     extension array [s0, s1, d, w]."""
     size = extended.shape[0]
-    ell = size.bit_length() - 1
-    inv = _inv_pow2(extended, ell)
-    half = _half(extended)
-    total = 0 * half
+    total = 0
     # d = 0: S_D = S0 (axis 0), S_{1-D} = S1 (axis 1)
     m0 = extended[:, :, 0, :]
     marg0 = m0.sum(axis=1)
     for s0 in range(size):
         for w in range(extended.shape[3]):
             for s1 in range(size):
-                total += abs(m0[s0, s1, w] - inv * marg0[s0, w])
+                total += abs(m0[s0, s1, w] - marg0[s0, w] / size)
     # d = 1: S_D = S1 (axis 1)
     m1 = extended[:, :, 1, :]
     marg1 = m1.sum(axis=0)
     for s1 in range(size):
         for w in range(extended.shape[3]):
             for s0 in range(size):
-                total += abs(m1[s0, s1, w] - inv * marg1[s1, w])
-    return half * total
+                total += abs(m1[s0, s1, w] - marg1[s1, w] / size)
+    return total / 2
 
 
 def construct_pointer(dist: OtOutputDistribution) -> PointerExtension:
@@ -170,12 +146,8 @@ def construct_pointer(dist: OtOutputDistribution) -> PointerExtension:
     """
     m = dist.mass
     size = 1 << dist.ell
-    exact = _is_exact(m)
-    ext = np.zeros((size, size, 2, dist.n_w),
-                   dtype=object if exact else float)
-    if exact:
-        for i in range(ext.size):
-            ext.flat[i] = Fraction(0)
+    # every cell is assigned below, so ext takes the input's dtype as is
+    ext = np.empty((size, size, 2, dist.n_w), dtype=m.dtype)
     for w in range(dist.n_w):
         p = m[:, :, w]
         row0 = [p[0, s1] for s1 in range(size)]
@@ -273,7 +245,7 @@ def one_of_n_condition(mass: np.ndarray, ell: int, epsilon: float):
     size = 1 << ell
     if m.shape[:n] != (size,) * n:
         raise InputError("mass axes do not match 2^l")
-    worst = 0 * _half(m)
+    worst = 0
     betas = list(enumerate_ndlf(ell))
     for i in range(n):
         for j in range(n):
@@ -392,7 +364,6 @@ def reduce_ot_from_uot(n: int, ell: int, kappa: float,
     check_cap("hash-pair", "2*(n+1)*ell", 2 * (n + 1) * ell)
     signs = _family_sign_tables(fam)
     nx = 1 << n
-    p_y = channel.table.sum(axis=1) / (1 << (2 * n))
     worst = 0.0
     worst_beta = None
     for beta in enumerate_ndlf(ell):

@@ -9,7 +9,10 @@ and three are unrestricted.
 Two engines evaluate strategies exactly:
 
 * product engine - per-qubit strategies (keep the qubit, or measure it in a
-  fixed 2x2 basis). EPR pairs factorize, so runs scale to large n.
+  fixed 2x2 basis). EPR pairs factorize, so one (n, 2, 2, 2) table
+  t[i, s, y, x] = P(y, x | sender basis s) from `product_factors`, plus the
+  kept-qubit mask, is all an audit needs; `product_table` krons it into
+  the full P(y, x | theta) for one basis string. Runs scale to large n.
 * dense engine - arbitrary compression unitaries over all received qubits
   plus ancillas (used e.g. for pairwise Bell measurements); capped at small
   n by the 2^n x 2^{n+a} joint amplitude array.
@@ -211,46 +214,36 @@ def direct_blocks_dense(n: int, strategy: AdversaryStrategy, theta
 # product engine
 # ---------------------------------------------------------------------------
 
-@dataclass
-class QubitFactor:
-    """Exact per-qubit tables for a product strategy against one EPR pair.
+# sender bases s = 0 ('+') and 1 ('x'), stacked as v[s, k, x]
+_SENDER_BASES = np.stack([SINGLE_QUBIT_BASES["+"], SINGLE_QUBIT_BASES["x"]])
 
-    For a measured qubit: p_x[θ][y, x] with the adversary outcome first;
-    the retained register is trivial. For a kept qubit: the adversary holds
-    the (conjugated) post-measurement state |x>_θ, one 2x2 op per (θ, x).
+
+def product_factors(n: int, strategy: AdversaryStrategy):
+    """The product engine's per-qubit table for n EPR pairs: (kept, t).
+
+    kept[i] is True where the adversary stores qubit i. For a qubit measured
+    in basis w, t[i, s, y, x] = P(y, x | sender basis s) = 1/2 |sum_k
+    w[k, y] v_s[k, x]|^2, with s = 0 for '+' and 1 for 'x': the adversary's
+    outcome y joint with the sender's outcome x on that pair. t is zero on
+    kept qubits, whose state is `security._kept_ops`'s instead.
     """
-
-    kept: bool
-    label: str
-    p_yx: dict | None      # θ-label -> (2, 2) array P(y, x | θ)
-    ops: dict | None       # θ-label -> [op_x0, op_x1]
-
-
-def qubit_factor(step, sender_bases=("+", "x")) -> QubitFactor:
-    if step[0] == "keep":
-        ops = {}
-        for lab in sender_bases:
-            v = SINGLE_QUBIT_BASES[lab]
-            # sender measuring her EPR half collapses the adversary's half
-            # to the conjugate state
-            ops[lab] = [np.outer(v[:, x].conj(), v[:, x])
-                        for x in range(2)]
-        return QubitFactor(True, "keep", None, ops)
-    w = SINGLE_QUBIT_BASES[step[1]]
-    p_yx = {}
-    for lab in sender_bases:
-        v = SINGLE_QUBIT_BASES[lab]
-        table = np.empty((2, 2))
-        for y in range(2):
-            for x in range(2):
-                # Pr[adversary outcome y] * Pr[sender outcome x | y]
-                amp = np.vdot(v[:, x], w[:, y].conj())
-                table[y, x] = 0.5 * abs(amp) ** 2
-        p_yx[lab] = table
-    return QubitFactor(False, step[1], p_yx, None)
+    plan = strategy.product_plan(n)
+    kept = np.array([step[0] == "keep" for step in plan], dtype=bool)
+    w = np.zeros((n, 1, 2, 2), dtype=complex)
+    for i, step in enumerate(plan):
+        if not kept[i]:
+            w[i, 0] = SINGLE_QUBIT_BASES[step[1]].T
+    amp = w @ _SENDER_BASES
+    return kept, 0.5 * np.hypot(amp.real, amp.imag) ** 2
 
 
-def product_factors(n: int, strategy: AdversaryStrategy,
-                    sender_bases=("+", "x")) -> list:
-    return [qubit_factor(step, sender_bases)
-            for step in strategy.product_plan(n)]
+def product_table(kept, t, theta) -> np.ndarray:
+    """P(y, x | theta) as a (2^m, 2^n) array for per-qubit sender bases
+    theta ('+'/'x' labels): one kron chain of the tables of
+    `product_factors`, where a kept qubit contributes the row (1/2, 1/2)
+    and y packs the m measured qubits in wire order."""
+    out = np.ones((1, 1))
+    for i, label in enumerate(theta):
+        out = np.kron(out, np.full((1, 2), 0.5) if kept[i]
+                      else t[i, "+x".index(label)])
+    return out

@@ -9,12 +9,16 @@ For the binding experiment the purified form is used: the verifier measures
 all his EPR halves in basis b at opening and checks a random index subset
 (each index independently with probability 1/2), which makes the acceptance
 probability of a cheating opening exactly E[2^{-d_H(X, X')}]. For
-product-form committers this factorizes per qubit and scales to any n.
+product-form committers `opening_success` factorizes per qubit and scales
+to any n; `binding_experiment` also builds the committer's 2^n-entry
+conditional outcome vector for its bound audit, so it is capped by
+`binding-audit` (16 qubits).
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -67,34 +71,17 @@ def run_commitment(b: int, channel: ChannelModel, committer, n: int,
 # binding
 # ---------------------------------------------------------------------------
 
-def _qubit_open_factor(factor, basis_b: str) -> float:
-    """E[2^{-[mismatch]}] for one qubit when the committer opens bit b.
-
-    Kept qubit: measure the retained EPR half in basis b, always matching.
-    Measured qubit: best guess from the stored outcome; mismatch probability
-    1 - max_x P(x | y, basis_b)."""
-    if factor.kept:
-        return 1.0
-    table = factor.p_yx[basis_b]   # (y, x), joint with P(y) folded in
-    val = 0.0
-    for y in range(2):
-        p_y = table[y].sum()
-        if p_y <= 0:
-            continue
-        p_match = table[y].max() / p_y
-        val += p_y * (1.0 - 0.5 * (1.0 - p_match))
-    return val
-
-
 def opening_success(strategy: AdversaryStrategy, n: int, b: int) -> float:
     """Exact acceptance probability of opening bit b for a product
-    committer (EPR-purified acceptance E[2^{-d_H}])."""
-    factors = product_factors(n, strategy)
-    basis_b = "+" if b == 0 else "x"
-    p = 1.0
-    for f in factors:
-        p *= _qubit_open_factor(f, basis_b)
-    return p
+    committer (EPR-purified acceptance E[2^{-d_H}]): the product over
+    qubits of E[2^{-[mismatch]}]. A kept qubit is measured in basis b and
+    always matches; a measured one is guessed from its stored outcome y,
+    mismatching with probability 1 - max_x P(x | y, b)."""
+    kept, t = product_factors(n, strategy)
+    table = t[~kept, b]                     # (y, x) per measured qubit
+    p_y = table.sum(axis=2)
+    val = p_y * (1.0 - 0.5 * (1.0 - table.max(axis=2) / p_y))
+    return math.prod(val[:, 0] + val[:, 1], start=1.0)
 
 
 def binding_experiment(committer, n: int, mode: str = "weak",
@@ -172,21 +159,13 @@ def _binding_event(strategy, n):
     and the per-y analysis is exact.
     """
     check_cap("binding-audit", "n", n)
-    factors = product_factors(n, strategy)
-    vecs = []
-    for basis_b in ("+", "x"):
-        q_vec = np.array([1.0])
-        for f in factors:
-            if f.kept:
-                row = np.array([0.5, 0.5])
-            else:
-                t = f.p_yx[basis_b]
-                if not np.allclose(np.sort(t[0]), np.sort(t[1])):
-                    raise InputError("committer conditionals are not "
-                                     "outcome-symmetric")
-                row = t[0] / t[0].sum()
-            q_vec = np.kron(q_vec, row)
-        vecs.append(q_vec)
+    kept, t = product_factors(n, strategy)
+    if not np.allclose(np.sort(t[:, :, 0], -1), np.sort(t[:, :, 1], -1)):
+        raise InputError("committer conditionals are not outcome-symmetric")
+    vecs = [reduce(np.kron, [np.array([0.5, 0.5]) if k else row / row.sum()
+                             for k, row in zip(kept, t[:, s, 0])],
+                   np.array([1.0]))
+            for s in (0, 1)]
     lam = _pick_lambda(strategy.memory_qubits(n), n)
     try:
         return event_from_distributions(vecs[0], vecs[1], lam, n)

@@ -129,23 +129,14 @@ def _canonical_guess(strategy, n, r, y, member, fam, e, mask, x_true):
             outcome = (y >> (2 * (n // 2 - 1 - pair))) & 3
             bits += [0, BELL_XOR[outcome][ridx]]
         return e ^ fam.eval(member, bits_to_int(bits))
-    # product strategies: per-qubit posterior given theta_i = r
-    plan = strategy.product_plan(n)
-    factors = product_factors(n, strategy)
-    bits = []
-    m_pos = 0
-    n_meas = sum(1 for s in plan if s[0] != "keep")
-    for i, step in enumerate(plan):
-        if step[0] == "keep":
-            # measuring the kept qubit |x_i>_r in basis r returns x_i
-            bits.append(int((x_true[i])))
-        else:
-            y_i = (y >> (n_meas - 1 - m_pos)) & 1
-            m_pos += 1
-            table = factors[i].p_yx[r]
-            bits.append(int(np.argmax(table[y_i])))
+    # product strategies: measuring a kept qubit |x_i>_r in basis r returns
+    # x_i; a measured one is guessed from its outcome given theta_i = r
+    kept, t = product_factors(n, strategy)
+    y_bits = (y >> np.arange(int((~kept).sum()))[::-1]) & 1
+    bits = np.array(x_true, dtype=np.int64)
+    bits[~kept] = t[~kept, "+x".index(r), y_bits].argmax(axis=1)
     if mask == "xor":
-        return e ^ (sum(bits) % 2)
+        return e ^ int(bits.sum() % 2)
     return e ^ fam.eval(member, bits_to_int(bits))
 
 
@@ -248,7 +239,6 @@ def breitbart_attack() -> dict:
         success = 0.0
         for (b0, b1), vec in states.items():
             probs = np.abs(basis.conj().T @ vec) ** 2
-            guess = int(np.argmax([probs[0], probs[1]]) == 1)
             # outcome k guesses bit k for b0; for b1 the mapping flips on
             # the rotated basis
             want = b0 if target == "b0" else b1
@@ -336,21 +326,21 @@ def _bb84_adversarial(b, channel, strategy, n, code, seed):
     syn = code.syndrome_chunked(x[idx]) if ell else np.array([], np.uint8)
     # adversary's per-position knowledge after announcements (r, I, syn):
     # leaked -> exact bit; measured in w -> posterior from the factor table
-    factors = product_factors(n, strategy) if strategy.is_product() else None
-    if factors is None:
+    if not strategy.is_product():
         raise InputError("bb84 adversarial path supports product strategies")
+    kept, t = product_factors(n, strategy)
     post = []
     for i in range(n):
         if leaked[i]:
             post.append(1.0)
-        elif factors[i].kept:
+        elif kept[i]:
             post.append(1.0 if theta[i] == r else 0.5)
         else:
-            t = factors[i].p_yx[theta[i]]
+            table = t[i, "+x".index(theta[i])]
             # sample the adversary's outcome for this qubit
-            py = t[:, x[i]] / t[:, x[i]].sum()
+            py = table[:, x[i]] / table[:, x[i]].sum()
             y_i = int(rng.choice(2, p=py))
-            cond = t[y_i] / t[y_i].sum()
+            cond = table[y_i] / table[y_i].sum()
             post.append(float(cond.max()))
     in_set = [post[i] for i in idx]
     h_min = -sum(math.log2(p) for p in in_set) if in_set else 0.0

@@ -8,6 +8,7 @@ corresponding proof chain on the same instance, reporting per-link slack.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,8 +23,8 @@ from ..qstate import (SINGLE_QUBIT_BASES, batched_trace_norm,
                       product_basis_matrix, rank1_trace_norm, trace_norm)
 from ..uncertainty import event_from_distributions, genrel_epsilon
 from .adversary import (AdversaryStrategy, direct_blocks_dense,
-                        epr_blocks_dense, product_factors, row_states,
-                        sender_measurement_dense)
+                        epr_blocks_dense, product_factors, product_table,
+                        row_states, sender_measurement_dense)
 from .rabin import rabin_cq_state, rabin_exact_blocks
 
 
@@ -270,28 +271,21 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
     # blocks below hold (f0, f1, d, s0, s1, kept, kept) cells per (theta, y)
     check_cap("ot12-block", "2*(n+1)*ell+2*q+1", 2 * (n + 1) * ell + 2 * q + 1)
     lam = lam if lam is not None else 0.1
-    factors = product_factors(n, strategy)
-    kept_idx = [i for i, f in enumerate(factors) if f.kept]
-    meas_idx = [i for i, f in enumerate(factors) if not f.kept]
+    kept, t = product_factors(n, strategy)
+    kept_idx = np.nonzero(kept)[0].tolist()
     fam = HashFamily(n, ell, "linear")
     table = fam.eval_table()
     nf = fam.size
     s_out = 1 << ell
     dim_k = 1 << q
 
-    # pass 1: classical joint for the uncertainty link and alpha
-    cols = []
-    slices = []
-    theta_strings = ["".join("+x"[(t >> (n - 1 - i)) & 1] for i in range(n))
-                     for t in range(1 << n)]
-    for t_idx, theta in enumerate(theta_strings):
-        for y in range(1 << len(meas_idx)):
-            m = _product_mass(factors, theta, y, n, meas_idx)
-            total = m.sum()
-            if total <= 0:
-                continue
-            cols.append(m)
-            slices.append((t_idx, y))
+    # pass 1: P(y, x | theta) per basis string, keeping the y rows with
+    # mass; the classical joint for the uncertainty link and alpha
+    per_theta = []
+    for theta in itertools.product("+x", repeat=n):
+        mass_yx = product_table(kept, t, theta)
+        per_theta.append((theta, mass_yx[mass_yx.sum(axis=1) > 0]))
+    cols = [m for _, rows in per_theta for m in rows]
     mass = np.stack(cols, axis=1) * 2.0 ** (-n)
     joint = JointDistribution(
         [[int_to_str(v, n) for v in range(1 << n)], range(len(cols))],
@@ -308,38 +302,38 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
     # (f0, f1) pairs as the leading digits of the flat block cell
     f_pair = 2 * (nf * np.arange(nf)[:, None] + np.arange(nf))
     kap = _part_value(n, kept_idx)
-    for (t_idx, y), m in zip(slices, cols):
-        theta = theta_strings[t_idx]
+    for theta, rows in per_theta:
         i0 = [i for i in range(n) if theta[i] == "+"]
         i1 = [i for i in range(n) if theta[i] == "x"]
-        pad0 = _pad_index(n, i0)
-        pad1 = _pad_index(n, i1)
         x0_val, x1_val = _part_value(n, i0), _part_value(n, i1)
-        grid = np.zeros((1 << len(i0), 1 << len(i1)))
-        grid[x0_val, x1_val] = m / m.sum()
-        d_x1, peak = split_pointer(grid, alpha)
-        dvec = d_x1[x1_val]
-        if peak > 0:
-            split_floor = min(split_floor, -math.log2(peak))
-        # scatter the block's joint over (f0, f1, d, s0, s1, kept value):
-        # one flat cell per (x, f0, f1), each cell summed in x order
-        w = m * 2.0 ** (-n)
-        xs = np.nonzero(w > 0)[0]
-        cell = (((f_pair + dvec[xs, None, None]) * s_out
-                 + table[:, pad0[xs]].T[:, :, None]) * s_out
-                + table[:, pad1[xs]].T[:, None, :]) * dim_k \
-            + kap[xs, None, None]
-        acc = np.bincount(cell.ravel(), np.repeat(w[xs], nf * nf),
-                          nf * nf * 2 * s_out * s_out * dim_k)
+        # f0 and f1 of every x, read off the zero-padded substrings
+        h0 = table[:, x0_val << (n - len(i0))].T[:, :, None]
+        h1 = table[:, x1_val << (n - len(i1))].T[:, None, :]
         ops = _kept_ops(theta, kept_idx)          # (dim_k, dim_k, dim_k)
-        blocks = (acc.reshape(-1, dim_k) @ ops.reshape(dim_k, -1)).reshape(
-            nf, nf, 2, s_out, s_out, dim_k, dim_k)
-        # sub axes: f0, f1, s0, s1, i, j; the S_{1-D} register is S1 when
-        # d = 0 (sum axis 3) and S0 when d = 1 (sum axis 2)
-        for d, axis in ((0, 3), (1, 2)):
-            sub = blocks[:, :, d]
-            margin = sub.sum(axis=axis, keepdims=True) / s_out
-            dist += batched_trace_norm(sub - margin)
+        for m in rows:
+            grid = np.zeros((1 << len(i0), 1 << len(i1)))
+            grid[x0_val, x1_val] = m / m.sum()
+            d_x1, peak = split_pointer(grid, alpha)
+            dvec = d_x1[x1_val]
+            if peak > 0:
+                split_floor = min(split_floor, -math.log2(peak))
+            # scatter the block's joint over (f0, f1, d, s0, s1, kept
+            # value): one flat cell per (x, f0, f1), summed in x order
+            w = m * 2.0 ** (-n)
+            xs = np.nonzero(w > 0)[0]
+            cell = (((f_pair + dvec[xs, None, None]) * s_out
+                     + h0[xs]) * s_out + h1[xs]) * dim_k \
+                + kap[xs, None, None]
+            acc = np.bincount(cell.ravel(), np.repeat(w[xs], nf * nf),
+                              nf * nf * 2 * s_out * s_out * dim_k)
+            blocks = (acc.reshape(-1, dim_k) @ ops.reshape(dim_k, -1)
+                      ).reshape(nf, nf, 2, s_out, s_out, dim_k, dim_k)
+            # sub axes: f0, f1, s0, s1, i, j; the S_{1-D} register is S1
+            # when d = 0 (sum axis 3) and S0 when d = 1 (sum axis 2)
+            for d, axis in ((0, 3), (1, 2)):
+                sub = blocks[:, :, d]
+                margin = sub.sum(axis=axis, keepdims=True) / s_out
+                dist += batched_trace_norm(sub - margin)
     dist = 0.5 * dist / (nf * nf)
     links["splitting"] = split_floor - alpha / 2.0
     h_chain = alpha / 2.0 - (1.0 + ell) - math.log2(1.0 / eps_prime)
@@ -352,19 +346,6 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
         "distance": dist, "bound": bound, "links": links,
         "pass": bool(all(s >= -1e-9 for s in links.values())),
     }
-
-
-def _product_mass(factors, theta, y, n, meas_idx) -> np.ndarray:
-    """P(y, x | theta) as a vector over x (kron of per-qubit columns)."""
-    m = np.array([1.0])
-    pos = {i: k for k, i in enumerate(meas_idx)}
-    for i, f in enumerate(factors):
-        if f.kept:
-            m = np.kron(m, np.array([0.5, 0.5]))
-        else:
-            y_i = (y >> (len(meas_idx) - 1 - pos[i])) & 1
-            m = np.kron(m, f.p_yx[theta[i]][y_i])
-    return m
 
 
 def _part_value(n, idx) -> np.ndarray:

@@ -1,17 +1,20 @@
 """Dual-route checks: independent brute-force re-derivations of the most
 intricate exact computations, compared against the production paths."""
 
+import itertools
 import math
 from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 from bqsm.bits import int_to_str
 from bqsm.cqstate import (CqState, pa_distance, pa_output_state,
                           qmin_entropy_rel)
 from bqsm.hashing import HashFamily
-from bqsm.protocols import (bell_pairwise_xor, run_rabin_ot,
+from bqsm.protocols import (bell_pairwise_xor, breitbart_strategy,
+                            full_memory, measure_fixed, run_rabin_ot,
                             sender_security_distance, store_prefix)
 from bqsm.protocols.channel import PERFECT
 from bqsm.protocols.rabin import rabin_guess_probability
@@ -54,26 +57,22 @@ def _epr_qubit_tables(plan_step, sender_basis):
 
 class TestEngineOracle:
     def test_product_factor_tables_from_first_principles(self):
-        from bqsm.protocols.adversary import qubit_factor
-        for basis in ("+", "x"):
-            for step in (("measure", "+"), ("measure", "x"),
-                         ("measure", "breitbart"), ("measure", "circ"),
-                         ("keep",)):
-                factor = qubit_factor(step)
-                entries = _epr_qubit_tables(step, basis)
-                if step[0] == "keep":
-                    for x, _, p, red in entries:
-                        assert p == pytest.approx(0.5)
-                        assert np.allclose(red, factor.ops[basis][x],
-                                           atol=1e-12)
-                else:
-                    for x, y, p, _ in entries:
-                        assert factor.p_yx[basis][y, x] \
-                            == pytest.approx(p, abs=1e-12)
+        from bqsm.protocols.adversary import product_factors
+        from bqsm.protocols.security import _kept_ops
+        for s, basis in enumerate("+x"):
+            for x, _, p, red in _epr_qubit_tables(("keep",), basis):
+                assert p == pytest.approx(0.5)
+                assert np.allclose(red, _kept_ops(basis, [0])[x],
+                                   atol=1e-12)
+            for label in ("+", "x", "breitbart", "circ"):
+                kept, t = product_factors(1, measure_fixed([label]))
+                assert not kept[0]
+                for x, y, p, _ in _epr_qubit_tables(("measure", label),
+                                                    basis):
+                    assert t[0, s, y, x] == pytest.approx(p, abs=1e-12)
 
     def test_ot12_distance_brute_force(self):
         # independent dict-based assembly of the two-hash distance at n=3
-        from bqsm.protocols import breitbart_strategy, measure_fixed
         n, ell = 3, 1
         for strategy in (store_prefix(0), store_prefix(1),
                          breitbart_strategy(),
@@ -101,10 +100,65 @@ class TestEngineOracle:
             assert tr.adversary["guess_b"] == tr.honest["b"]
 
 
-def _brute_ot12_distance(strategy, n, ell, alpha):
-    from bqsm.protocols.adversary import product_factors
+_LABELS = ("+", "x", "circ", "breitbart")
 
-    factors = product_factors(n, strategy)
+
+@hst.composite
+def _product_strategies(draw):
+    """(n, strategy) for a random product strategy on n <= 5 qubits."""
+    n = draw(hst.integers(1, 5))
+    kind = draw(hst.sampled_from(("store_prefix", "measure_fixed",
+                                  "breitbart", "full_memory")))
+    if kind == "store_prefix":
+        return n, store_prefix(draw(hst.integers(0, n)),
+                               draw(hst.sampled_from(_LABELS)))
+    if kind == "measure_fixed":
+        return n, measure_fixed(draw(hst.lists(
+            hst.sampled_from(_LABELS), min_size=n, max_size=n)))
+    return n, breitbart_strategy() if kind == "breitbart" else full_memory()
+
+
+class TestProductTableProperty:
+    """The product engine's per-qubit table against the dense engine, for
+    every sender basis string theta."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_product_strategies())
+    @example((3, measure_fixed(["x", "breitbart", "circ"])))
+    @example((4, store_prefix(2, "breitbart")))
+    @example((2, full_memory()))
+    def test_product_table_matches_dense_engine(self, case):
+        from bqsm.protocols.adversary import (epr_blocks_dense,
+                                              product_factors,
+                                              product_table, row_states,
+                                              sender_measurement_dense)
+        from bqsm.protocols.security import _kept_ops, _part_value
+        n, strategy = case
+        kept, t = product_factors(n, strategy)
+        kept_idx = np.nonzero(kept)[0].tolist()
+        kappa = _part_value(n, kept_idx)
+        blocks = epr_blocks_dense(n, strategy)
+        for theta in itertools.product("+x", repeat=n):
+            # P(y, x | theta) = p_y p(x | y), zero on the dropped outcomes
+            p_x, unit = row_states(sender_measurement_dense(blocks, theta))
+            dense = np.zeros((1 << (n - len(kept_idx)), 1 << n))
+            dense[blocks.ys] = blocks.probs[:, None] * p_x
+            assert np.abs(product_table(kept, t, theta) - dense).max() \
+                <= 1e-12
+            # the kept register holds |kappa(x)>_theta's conjugate
+            proj = unit[..., :, None] * unit[..., None, :].conj()
+            ops = _kept_ops(theta, kept_idx)[kappa]
+            assert np.abs(proj - ops)[p_x > 0].max() <= 1e-12
+
+
+def _brute_ot12_distance(strategy, n, ell, alpha):
+    plan = strategy.product_plan(n)
+    meas = [i for i, step in enumerate(plan) if step[0] != "keep"]
+    kept = [i for i, step in enumerate(plan) if step[0] == "keep"]
+    # mass[(i, basis, y, x)] = P(y, x | basis) of measured qubit i, from the
+    # explicit two-qubit EPR vector
+    mass = {(i, basis, y, x): p for i in meas for basis in "+x"
+            for x, y, p, _ in _epr_qubit_tables(plan[i], basis)}
     fam = HashFamily(n, ell, "linear")
     members = list(fam.members())
     size_out = 1 << ell
@@ -112,8 +166,6 @@ def _brute_ot12_distance(strategy, n, ell, alpha):
     blocks = defaultdict(lambda: np.zeros(
         (size_out, size_out, 1 << strategy.memory_qubits(n),
          1 << strategy.memory_qubits(n)), dtype=complex))
-    meas = [i for i, f in enumerate(factors) if not f.kept]
-    kept = [i for i, f in enumerate(factors) if f.kept]
     for t in range(1 << n):
         theta = ["+" if (t >> (n - 1 - i)) & 1 == 0 else "x"
                  for i in range(n)]
@@ -124,17 +176,13 @@ def _brute_ot12_distance(strategy, n, ell, alpha):
             masses = np.zeros(1 << n)
             for x in range(1 << n):
                 p = 1.0
-                mpos = 0
                 for i in range(n):
                     xi = (x >> (n - 1 - i)) & 1
-                    if factors[i].kept:
+                    if i in kept:
                         p *= 0.5
                     else:
-                        yi = (y >> (len(meas) - 1 - mpos)) & 1 \
-                            if meas.index(i) == mpos else None
                         yi = (y >> (len(meas) - 1 - meas.index(i))) & 1
-                        p *= factors[i].p_yx[theta[i]][yi, xi]
-                        mpos += 1
+                        p *= mass[(i, theta[i], yi, xi)]
                 masses[x] = p
             tot = masses.sum()
             if tot <= 0:
