@@ -17,8 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import hadamard
 
-from .bits import parity
+from .bits import parity, parity_u64
 from .entropy import (JointDistribution, conditional_renyi,
                       smooth_min_entropy, split_pointer)
 from .errors import CAPS, InputError, PromiseViolation, check_cap
@@ -103,14 +104,9 @@ def xor_uniformity(dist: OtOutputDistribution):
 
 def ndlf_security_distance(dist: OtOutputDistribution):
     """Max over all (2^l - 1)^2 NDLFs of the uniformity distance, plus the
-    worst function."""
-    worst = None
-    worst_val = -1
-    for beta in enumerate_ndlf(dist.ell):
-        val = _beta_distance(dist.mass, beta)
-        if val > worst_val:
-            worst_val, worst = val, beta
-    return worst_val, worst
+    first function that attains it."""
+    return max(((_beta_distance(dist.mass, beta), beta)
+                for beta in enumerate_ndlf(dist.ell)), key=lambda vb: vb[0])
 
 
 def sender_security_of_extension(extended: np.ndarray):
@@ -256,9 +252,7 @@ def one_of_n_condition(mass: np.ndarray, ell: int, epsilon: float):
             perm = [i, j] + rest + [n]
             t = np.transpose(m, perm).reshape(size, size, -1)
             for beta in betas:
-                val = _beta_distance(t, beta)
-                if val > worst:
-                    worst = val
+                worst = max(worst, _beta_distance(t, beta))
     nu = epsilon / ((1 << (2 * ell)) * n * (n - 1))
     return worst, bool(worst <= nu)
 
@@ -291,29 +285,39 @@ class UotChannel:
         return JointDistribution([range(nx), self.y_labels], m)
 
     @staticmethod
+    def _deterministic(n: int, y_of, n_y: int, cells: str) -> "UotChannel":
+        """Y = y_of(x0, x1) on arrays of n-bit halves, with n_y outputs.
+        The table's n_y * 4^n cells, which `cells` writes in terms of n,
+        are refused past the joint-entries cap before any is built."""
+        check_cap("joint-entries", cells, n_y << (2 * n))
+        x = np.arange(1 << (2 * n))
+        t = np.zeros((n_y, len(x)))
+        t[y_of(x >> n, x & ((1 << n) - 1)), x] = 1.0
+        return UotChannel(n, t)
+
+    @staticmethod
     def honest(n: int, c: int) -> "UotChannel":
         """Y = x_c deterministically."""
-        nx = 1 << (2 * n)
-        t = np.zeros((1 << n, nx))
-        for x in range(nx):
-            x0, x1 = x >> n, x & ((1 << n) - 1)
-            t[(x0, x1)[c], x] = 1.0
-        return UotChannel(n, t)
+        return UotChannel._deterministic(n, lambda x0, x1: (x0, x1)[c],
+                                         1 << n, "8^n")
 
     @staticmethod
     def xor(n: int) -> "UotChannel":
         """Y = x0 xor x1 (bitwise)."""
-        nx = 1 << (2 * n)
-        t = np.zeros((1 << n, nx))
-        for x in range(nx):
-            x0, x1 = x >> n, x & ((1 << n) - 1)
-            t[x0 ^ x1, x] = 1.0
-        return UotChannel(n, t)
+        return UotChannel._deterministic(n, lambda x0, x1: x0 ^ x1,
+                                         1 << n, "8^n")
+
+    @staticmethod
+    def parity(n: int) -> "UotChannel":
+        """Y = the parity of all 2n bits."""
+        return UotChannel._deterministic(
+            n, lambda x0, x1: parity_u64(x0 ^ x1), 2, "2*4^n")
 
     @staticmethod
     def erasure(n: int, p_keep: float = 0.5) -> "UotChannel":
         """Each of the 2n bits is revealed independently with probability
-        p_keep; y = (mask, revealed bits)."""
+        p_keep; y = (mask, revealed bits), so |Y| = 9^n."""
+        check_cap("joint-entries", "36^n", 36 ** n)
         bits = 2 * n
         nx = 1 << bits
         ys = []
@@ -331,28 +335,23 @@ class UotChannel:
         return UotChannel(n, np.array(rows), ys)
 
 
-def _family_sign_tables(fam: HashFamily) -> dict:
-    """sign[a][member_index, x] = (-1)^{<a, f(x)>} for each nonzero mask."""
-    table = fam.eval_table()
-    out = {}
-    for a in range(1, 1 << fam.ell):
-        bits = np.zeros_like(table)
-        for b in range(fam.ell):
-            if (a >> b) & 1:
-                bits ^= (table >> b) & 1
-        out[a] = 1.0 - 2.0 * bits.astype(float)
-    return out
-
-
 def reduce_ot_from_uot(n: int, ell: int, kappa: float,
                        channel: UotChannel, force: bool = False) -> dict:
     """Run the one-shot OT-from-UOT reduction with the strongly
     two-universal (affine) family, averaging over hash choices exactly.
 
     Verifies the collision-entropy promise H_2(X|Y) >= 4l + 2kappa + 1,
-    computes the worst NDLF distance of the output distribution, and checks
-    it against the 2^-kappa / 2^{2l+1} target.
+    computes the NDLF distance of the output distribution, and checks it
+    against the 2^-kappa / 2^{2l+1} target. With f_i(x) = M_i x + b_i and
+    beta = (a0, a1), (-1)^{beta(f0(x0), f1(x1))} is a sign times the
+    character w = (M0^T a0, M1^T a1) of x = (x0, x1), and M^T a is uniform
+    on {0,1}^n for every a != 0. So every NDLF, at every l, has the same
+    family-averaged distance 1/2 2^{-2n} sum_y sum_w |W_y(w)|, with W_y
+    the 2-D Walsh-Hadamard transform of P(x0, x1, y).
     """
+    if ell < 1:
+        raise InputError("need ell >= 1")
+    check_cap("ndlf-ell", "ell", ell)
     r_min = 4 * ell + 2 * kappa + 1
     joint = channel.joint_with_uniform_x()
     h2 = conditional_renyi(joint, 2.0)
@@ -360,30 +359,17 @@ def reduce_ot_from_uot(n: int, ell: int, kappa: float,
     if not promise_ok and not force:
         raise PromiseViolation(
             f"H_2(X|Y) = {h2:.4f} below required {r_min}")
-    fam = HashFamily(n, ell, "affine")
-    check_cap("hash-pair", "2*(n+1)*ell", 2 * (n + 1) * ell)
-    signs = _family_sign_tables(fam)
-    nx = 1 << n
-    worst = 0.0
-    worst_beta = None
-    for beta in enumerate_ndlf(ell):
-        u = signs[beta.a0]   # (|F|, 2^n) over x0
-        v = signs[beta.a1]   # (|F|, 2^n) over x1
-        dist = 0.0
-        for yi in range(channel.table.shape[0]):
-            mxy = channel.table[yi].reshape(nx, nx) / (1 << (2 * n))
-            corr = u @ mxy @ v.T   # (|F0|, |F1|)
-            dist += 0.5 * np.abs(corr).sum() / fam.size ** 2
-        if dist > worst:
-            worst, worst_beta = dist, beta
+    # Sylvester order: h[w, x] = (-1)^{w.x}, so h P_y h is W_y on (x0, x1)
+    h = hadamard(1 << channel.n)
+    spectra = h @ channel.table.reshape(-1, len(h), len(h)) @ h
+    dist = 0.5 * np.abs(spectra).sum() / len(h) ** 4
     target = 2.0 ** (-kappa) / (1 << (2 * ell + 1))
     return {
         "n": n, "ell": ell, "kappa": kappa,
         "h2_measured": h2, "h2_required": r_min, "promise_ok": promise_ok,
-        "ndlf_distance": worst,
-        "worst_beta": (worst_beta.a0, worst_beta.a1),
-        "target": target, "pass": bool(worst <= target),
-        "sender_security_epsilon": worst * (1 << (2 * ell + 1)),
+        "ndlf_distance": dist,
+        "target": target, "pass": bool(dist <= target),
+        "sender_security_epsilon": dist * (1 << (2 * ell + 1)),
     }
 
 
@@ -396,6 +382,10 @@ def splitting_reduction(n: int, ell: int, kappa: float,
     Uses the plain linear (two-universal) family; the promise is on
     worst-case min-entropy: H_inf(X0 X1 | Y) >= 4l + 4kappa + 4.
     """
+    fam = HashFamily(n, ell, "linear")
+    # the (class, output) rows of the indicator; the distance squares them
+    rows = fam.classes << ell
+    check_cap("hash-table", "(classes(n,ell)*2^ell)^2", rows * rows)
     r_min = 4 * ell + 4 * kappa + 4
     joint = channel.joint_with_uniform_x()
     h_inf = conditional_renyi(joint, math.inf)
@@ -405,8 +395,6 @@ def splitting_reduction(n: int, ell: int, kappa: float,
             f"H_inf(X0X1|Y) = {h_inf:.4f} below required {r_min}")
     alpha = h_inf
     nx = 1 << n
-    fam = HashFamily(n, ell, "linear")
-    table = fam.eval_table()
     eps_prime = 2.0 ** (-kappa - 1)
 
     links = {}
@@ -427,13 +415,13 @@ def splitting_reduction(n: int, ell: int, kappa: float,
 
     # chain rule floor after conditioning on (D, S_D) and smoothing eps'
     h_after_chain = alpha / 2.0 - (1.0 + ell) - math.log2(1.0 / eps_prime)
-    chain_measured = _measured_chain_entropy(channel, fam, table, d_of,
-                                             eps_prime)
-    if chain_measured is not None:
-        links["chain_measured"] = chain_measured - h_after_chain
+    ind = _class_indicator(fam)
+    if nx * 2 * rows * len(d_of) <= CAPS["joint-entries"]:
+        links["chain_measured"] = _measured_chain_entropy(
+            channel, ind, d_of, eps_prime) - h_after_chain
 
     # exact output distance with the constructed D vs the LHL bound
-    dist = senders_distance_with_pointer(channel, fam, table, d_of)
+    dist = senders_distance_with_pointer(channel, ind, d_of)
     bound = 0.5 * 2.0 ** (-0.5 * (h_after_chain - ell)) + eps_prime
     links["final_lhl"] = bound - dist
     return {
@@ -447,78 +435,61 @@ def splitting_reduction(n: int, ell: int, kappa: float,
     }
 
 
-def _measured_chain_entropy(channel: UotChannel, fam: HashFamily,
-                            table: np.ndarray, d_of: dict,
-                            eps_prime: float):
-    """Exact H_inf^{eps'}(X_{1-D} | D S_D Y F_D) when the joint fits the
-    joint-entries cap; None otherwise. (The other hash F_{1-D} is
-    independent of everything conditioned on, so it is irrelevant for
-    min-entropy.)"""
+def _class_indicator(fam: HashFamily) -> np.ndarray:
+    """ind[i, s, x] = w_i [g_i(x) = s], for the row-space representatives
+    g_i of `fam` with shares w_i (a member's output events are its
+    class's, relabelled)."""
+    table, weight = fam.representatives()
+    outs = np.arange(1 << fam.ell)[:, None]
+    return (table[:, None, :] == outs) * weight[:, None, None]
+
+
+def _measured_chain_entropy(channel: UotChannel, ind: np.ndarray,
+                            d_of: dict, eps_prime: float) -> float:
+    """Exact H_inf^{eps'}(X_{1-D} | D S_D Y F_D), F_D over the weighted
+    representatives of `ind` (see `_class_indicator`): a class's members
+    give its columns relabelled, and merging equal columns leaves the smooth
+    min-entropy unchanged. (F_{1-D} is independent of the rest.)"""
     n = channel.n
     nx = 1 << n
-    nf = fam.size
-    size_out = 1 << fam.ell
-    cols = 2 * size_out * len(d_of) * nf
-    if nx * cols > CAPS["joint-entries"]:
-        return None
-    mass = np.zeros((nx, cols))
+    ind = ind.reshape(-1, nx)
     p_x = 1.0 / (1 << (2 * n))
-    col_idx = 0
+    cols = []
     for yi, dvec in d_of.items():
         mxy = channel.table[yi].reshape(nx, nx) * p_x
-        for fd in range(nf):
-            for d in (0, 1):
-                for s_d in range(size_out):
-                    if d == 0:
-                        sel = (table[fd] == s_d)[:, None] \
-                            & (dvec == 0)[None, :]
-                        contrib = np.where(sel, mxy, 0.0).sum(axis=0)
-                    else:
-                        sel = (table[fd] == s_d)[None, :] \
-                            & (dvec == 1)[None, :]
-                        contrib = np.where(sel, mxy, 0.0).sum(axis=1)
-                    mass[:, col_idx] = contrib
-                    col_idx += 1
-    mass /= nf
-    joint = JointDistribution([range(nx), range(col_idx)],
-                              mass[:, :col_idx], normalized=True)
+        # d = 0: S_D = F(x0), X_{1-D} = x1; d = 1: S_D = F(x1), X_{1-D} = x0
+        cols.append((ind @ np.where(dvec == 0, mxy, 0.0)).T)
+        cols.append(np.where(dvec == 1, mxy, 0.0) @ ind.T)
+    mass = np.hstack(cols)
+    joint = JointDistribution([range(nx), range(mass.shape[1])], mass,
+                              normalized=True)
     h, _ = smooth_min_entropy(joint, eps_prime)
     return h
 
 
-def senders_distance_with_pointer(channel: UotChannel, fam: HashFamily,
-                                  table: np.ndarray, d_of: dict) -> float:
+def senders_distance_with_pointer(channel: UotChannel, ind: np.ndarray,
+                                  d_of: dict) -> float:
     """Exact delta(P_{S_{1-D} S_D D W}, unif^l . P_{S_D D W}) where
-    W = (Y, F0, F1) and D is the per-y pointer; exhaustive over hash
-    pairs via indicator-matrix products."""
+    W = (Y, F0, F1) and D is the per-y pointer. Each (f0, f1) term depends
+    on the members only through their row spaces, so the average runs over
+    pairs of the weighted row-space representatives of `ind` (see
+    `_class_indicator`)."""
     n = channel.n
     nx = 1 << n
-    size_out = 1 << fam.ell
+    shape = ind.shape[:2] * 2
+    ind = ind.reshape(-1, nx)
     p_x = 1.0 / (1 << (2 * n))
-    nf = fam.size
-    # indicator[s][f, x] = 1 if f(x) = s
-    ind = [(table == s).astype(float) for s in range(size_out)]
     total = 0.0
     for yi, dvec in d_of.items():
         mxy = channel.table[yi].reshape(nx, nx) * p_x
-        for d in (0, 1):
-            w = np.where((dvec == d)[None, :], mxy, 0.0)
+        # the S_{1-D} register is S1 (axis 3) when d = 0, S0 (axis 1) when 1
+        for d, axis in ((0, 3), (1, 1)):
+            w = np.where(dvec == d, mxy, 0.0)
             if w.sum() == 0:
                 continue
-            # acc[s0][s1][f0, f1] = P(S0=s0, S1=s1, f0, f1, y, D=d)
-            left = [ind[s0] @ w for s0 in range(size_out)]
-            acc = [[left[s0] @ ind[s1].T for s1 in range(size_out)]
-                   for s0 in range(size_out)]
-            if d == 0:
-                for s0 in range(size_out):
-                    marg = sum(acc[s0][s1] for s1 in range(size_out))
-                    for s1 in range(size_out):
-                        total += 0.5 * np.abs(
-                            acc[s0][s1] - marg / size_out).sum()
-            else:
-                for s1 in range(size_out):
-                    marg = sum(acc[s0][s1] for s0 in range(size_out))
-                    for s0 in range(size_out):
-                        total += 0.5 * np.abs(
-                            acc[s0][s1] - marg / size_out).sum()
-    return total / (nf * nf)
+            # acc[f0, s0, f1, s1] = P(S0=s0, S1=s1, f0, f1, y, D=d)
+            acc = (ind @ w @ ind.T).reshape(shape)
+            acc -= acc.sum(axis=axis, keepdims=True) / shape[1]
+            total += 0.5 * np.abs(acc, out=acc).sum()
+            del acc   # one class-pair array alive at a time
+    return total

@@ -383,7 +383,6 @@ def _exp_ot_uot(seed, n=6, ell=1, kappa=0.5, channel="xor"):
         "honest0": lambda: UotChannel.honest(n, 0),
         "erasure": lambda: UotChannel.erasure(min(n, 3))})()
     rec = reduce_ot_from_uot(ch.n, ell, kappa, ch, force=True)
-    rec.pop("worst_beta", None)
     bad = 0 if (not rec["promise_ok"]) or rec["pass"] else 1
     return {"rows": [rec], "violations": bad}
 
@@ -391,14 +390,7 @@ def _exp_ot_uot(seed, n=6, ell=1, kappa=0.5, channel="xor"):
 def _exp_splitting_reduction(seed, n=9, ell=1, kappa=0.25,
                              channel="parity"):
     from .classical_ot import UotChannel, splitting_reduction
-    if channel == "parity":
-        nx2 = 1 << (2 * n)
-        t = np.zeros((2, nx2))
-        for x in range(nx2):
-            t[bin(x).count("1") & 1, x] = 1.0
-        ch = UotChannel(n, t)
-    else:
-        ch = UotChannel.xor(n)
+    ch = UotChannel.parity(n) if channel == "parity" else UotChannel.xor(n)
     rec = splitting_reduction(n, ell, kappa, ch, force=True)
     bad = 0 if (not rec["promise_ok"]) or rec["pass"] else 1
     return {"rows": [rec], "violations": bad}

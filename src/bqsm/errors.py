@@ -23,9 +23,8 @@ CAPS = {
     "joint-entries": 1 << 20,      # cells of a JointDistribution
     "hash-family": 20,             # log2 members of an enumerated family
     "hash-table": 1 << 26,         # cells of a member or row-space table
-    "hash-pair": 22,               # log2 affine member pairs (UOT reduction)
     "pa-oracle": 1 << 12,          # members in pa_distance_slow
-    "ndlf-ell": 16,                # string length of enumerated NDLFs
+    "ndlf-ell": 16,                # string length of the NDLF criteria
     "ot-ell": 8,                   # string length of an OT output table
     "ot-outputs": 64,              # receiver outputs |W| of that table
     "lp-ell": 1,                   # string length of the pointer LP oracle
@@ -37,7 +36,7 @@ CAPS = {
     "binding-audit": 16,           # qubits (2^n outcome strings) per audit
     "honest-path": 100_000,        # qubits or QKD symbols per honest run
     "ot12-audit": 6,               # qubits of the two-hash 1-2 OT audit
-    "ot12-block": 24,              # log2 cells of its per-(theta, y) blocks
+    "ot12-block": 24,              # log2 bound on its (theta, y) block cells
     "rate-check": 10,              # sifted symbols of the exact QKD check
     "coset-table": 24,             # block length of coset-leader decoding
 }

@@ -66,6 +66,14 @@ class HashFamily:
             count <<= self.ell
         return count
 
+    @property
+    def classes(self) -> int:
+        """Row spaces of the members: [n choose r]_2 = prod_{i<r} (2^n - 2^i)
+        / (2^r - 2^i) subspaces of {0,1}^n per dimension r <= min(n, l)."""
+        return sum(math.prod((1 << self.n) - (1 << i) for i in range(r))
+                   // math.prod((1 << r) - (1 << i) for i in range(r))
+                   for r in range(min(self.n, self.ell) + 1))
+
     def eval(self, member: HashMember, x: int) -> int:
         """Evaluate on a packed n-bit input; returns a packed l-bit output."""
         if x >> self.n:
@@ -149,10 +157,9 @@ class HashFamily:
         prod_{i<r} (2^l - 2^i) members share each, times 2^l if affine.
         """
         self._check_size()
+        check_cap("hash-table", "classes*2^n", self.classes << self.n)
         maps = [_echelon_maps(self.n, r)
                 for r in range(min(self.n, self.ell) + 1)]
-        classes = sum(len(m) for m in maps)
-        check_cap("hash-table", "classes*2^n", classes << self.n)
         step = max(1, (1 << 20) >> self.n)
         for r, unit in enumerate(maps):
             count = math.prod((1 << self.ell) - (1 << i) for i in range(r))
@@ -163,6 +170,15 @@ class HashFamily:
                 for b in range(self.n):
                     table = np.hstack([table, table ^ part[:, b, None]])
                 yield r, table, count
+
+    def representatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """(table, weight): one member per row-space class, table[i, x] =
+        C x read as an l-bit output, with the class's share count / size
+        of the family (see `row_space_classes`)."""
+        parts = [(table, np.full(len(table), count / self.size))
+                 for _, table, count in self.row_space_classes()]
+        return (np.concatenate([t for t, _ in parts]),
+                np.concatenate([w for _, w in parts]))
 
     def is_two_universal(self) -> bool:
         """Exhaustive collision check Pr[F(x)=F(y)] <= 2^-l for all x != y."""

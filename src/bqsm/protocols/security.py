@@ -262,22 +262,28 @@ def _rabin_sender_security(strategy, n, lam) -> dict:
 
 def _ot12_sender_security(strategy, n, ell, lam) -> dict:
     """1-2 OT sender security for product strategies: exact assembly over
-    (theta, y, f0, f1) with the splitting pointer, plus the
-    uncertainty -> splitting -> chain-rule -> PA audit."""
+    (theta, y) blocks with the splitting pointer, plus the
+    uncertainty -> splitting -> chain-rule -> PA audit.
+
+    f0 sees only x on I0 = {i : theta_i = +}, f1 only x on I1, and a
+    uniform l x n matrix restricted to I0's columns is uniform and
+    independent of its I1 restriction. Each block sees those restrictions
+    only through their row spaces, so the exact (f0, f1) average runs
+    over weighted representative pairs of HashFamily(|I0|, l) x
+    HashFamily(|I1|, l); an empty index set leaves the zero map alone."""
     if not strategy.is_product():
         raise InputError("1-2 OT audit expects a product strategy")
     check_cap("ot12-audit", "n", n)
     q = strategy.memory_qubits(n)
-    # blocks below hold (f0, f1, d, s0, s1, kept, kept) cells per (theta, y)
-    check_cap("ot12-block", "2*(n+1)*ell+2*q+1", 2 * (n + 1) * ell + 2 * q + 1)
+    # (g0, g1, d, s0, s1, kept, kept) cells per (theta, y) block, with at
+    # most 2^{|I0| l} * 2^{|I1| l} representative pairs (g0, g1)
+    check_cap("ot12-block", "(n+2)*ell+2*q+1", (n + 2) * ell + 2 * q + 1)
     lam = lam if lam is not None else 0.1
     kept, t = product_factors(n, strategy)
     kept_idx = np.nonzero(kept)[0].tolist()
-    fam = HashFamily(n, ell, "linear")
-    table = fam.eval_table()
-    nf = fam.size
-    s_out = 1 << ell
-    dim_k = 1 << q
+    reps = [HashFamily(k, ell).representatives() if k
+            else (np.zeros((1, 1), np.uint32), np.ones(1))
+            for k in range(n + 1)]
 
     # pass 1: P(y, x | theta) per basis string, keeping the y rows with
     # mass; the classical joint for the uncertainty link and alpha
@@ -299,42 +305,23 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
     eps_prime = 2.0 ** (-max(1.0, n / 4.0))
     split_floor = math.inf
     dist = 0.0
-    # (f0, f1) pairs as the leading digits of the flat block cell
-    f_pair = 2 * (nf * np.arange(nf)[:, None] + np.arange(nf))
     kap = _part_value(n, kept_idx)
     for theta, rows in per_theta:
         i0 = [i for i in range(n) if theta[i] == "+"]
         i1 = [i for i in range(n) if theta[i] == "x"]
         x0_val, x1_val = _part_value(n, i0), _part_value(n, i1)
-        # f0 and f1 of every x, read off the zero-padded substrings
-        h0 = table[:, x0_val << (n - len(i0))].T[:, :, None]
-        h1 = table[:, x1_val << (n - len(i1))].T[:, None, :]
+        # each representative's output on every x's I0 (I1) substring
+        (tab0, wt0), (tab1, wt1) = reps[len(i0)], reps[len(i1)]
+        hashed = ((tab0[:, x0_val], wt0), (tab1[:, x1_val], wt1))
         ops = _kept_ops(theta, kept_idx)          # (dim_k, dim_k, dim_k)
         for m in rows:
             grid = np.zeros((1 << len(i0), 1 << len(i1)))
             grid[x0_val, x1_val] = m / m.sum()
             d_x1, peak = split_pointer(grid, alpha)
-            dvec = d_x1[x1_val]
             if peak > 0:
                 split_floor = min(split_floor, -math.log2(peak))
-            # scatter the block's joint over (f0, f1, d, s0, s1, kept
-            # value): one flat cell per (x, f0, f1), summed in x order
-            w = m * 2.0 ** (-n)
-            xs = np.nonzero(w > 0)[0]
-            cell = (((f_pair + dvec[xs, None, None]) * s_out
-                     + h0[xs]) * s_out + h1[xs]) * dim_k \
-                + kap[xs, None, None]
-            acc = np.bincount(cell.ravel(), np.repeat(w[xs], nf * nf),
-                              nf * nf * 2 * s_out * s_out * dim_k)
-            blocks = (acc.reshape(-1, dim_k) @ ops.reshape(dim_k, -1)
-                      ).reshape(nf, nf, 2, s_out, s_out, dim_k, dim_k)
-            # sub axes: f0, f1, s0, s1, i, j; the S_{1-D} register is S1
-            # when d = 0 (sum axis 3) and S0 when d = 1 (sum axis 2)
-            for d, axis in ((0, 3), (1, 2)):
-                sub = blocks[:, :, d]
-                margin = sub.sum(axis=axis, keepdims=True) / s_out
-                dist += batched_trace_norm(sub - margin)
-    dist = 0.5 * dist / (nf * nf)
+            dist += _pointer_distance(m * 2.0 ** (-n), d_x1[x1_val], kap,
+                                      ops, *hashed, ell)
     links["splitting"] = split_floor - alpha / 2.0
     h_chain = alpha / 2.0 - (1.0 + ell) - math.log2(1.0 / eps_prime)
     bound = 0.5 * 2.0 ** (-0.5 * (h_chain - q - ell)) + eps_prime
@@ -346,6 +333,36 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
         "distance": dist, "bound": bound, "links": links,
         "pass": bool(all(s >= -1e-9 for s in links.values())),
     }
+
+
+def _pointer_distance(w, dvec, kap, ops, side0, side1, ell) -> float:
+    """One (theta, y) block's weighted sum over hash pairs (g0, g1) of
+    sum_d 1/2 ||rho_{S0 S1 E, d} - unif . rho_{S_D E, d}||_1: w[x] is its
+    mass, dvec[x] the pointer, ops[kap[x]] the kept state, and side_i =
+    (h_i, weight_i) with h_i[g, x] hash g's output on x's I_i part."""
+    (h0, wt0), (h1, wt1) = side0, side1
+    s_out, dim_k = 1 << ell, len(ops)
+    r0, r1 = len(wt0), len(wt1)
+    xs = np.nonzero(w > 0)[0]
+    # one flat (g0, g1, d, s0, s1, kept value) cell per (x, g0, g1),
+    # summed in x order
+    pair = 2 * (r1 * np.arange(r0)[:, None] + np.arange(r1))
+    cell = (((pair + dvec[xs, None, None]) * s_out
+             + h0[:, xs].T[:, :, None]) * s_out
+            + h1[:, xs].T[:, None, :]) * dim_k + kap[xs, None, None]
+    mass = w[xs, None, None] * wt0[:, None] * wt1
+    acc = np.bincount(cell.ravel(), mass.ravel(),
+                      r0 * r1 * 2 * s_out * s_out * dim_k)
+    blocks = (acc.reshape(-1, dim_k) @ ops.reshape(dim_k, -1)
+              ).reshape(r0, r1, 2, s_out, s_out, dim_k, dim_k)
+    # sub axes: g0, g1, s0, s1, i, j; the S_{1-D} register is S1 when
+    # d = 0 (sum axis 3) and S0 when d = 1 (sum axis 2)
+    total = 0.0
+    for d, axis in ((0, 3), (1, 2)):
+        sub = blocks[:, :, d]
+        margin = sub.sum(axis=axis, keepdims=True) / s_out
+        total += batched_trace_norm(sub - margin)
+    return 0.5 * total
 
 
 def _part_value(n, idx) -> np.ndarray:
@@ -365,8 +382,9 @@ def _pad_index(n, idx) -> np.ndarray:
 
 def _kept_ops(theta, kept_idx) -> np.ndarray:
     """Stack of kept-register pure states |kappa>_theta, indexed by the
-    packed kept-bit value."""
-    cols = product_basis_matrix([theta[i] for i in kept_idx]).conj()
-    return np.einsum("ik,jk->kij", cols, cols.conj())
+    packed kept-bit value; real, as the sender's bases + and x are, so
+    the blocks take the cheaper real LAPACK path."""
+    cols = product_basis_matrix([theta[i] for i in kept_idx]).real
+    return np.einsum("ik,jk->kij", cols, cols)
 
 

@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from bqsm.bits import int_to_str
 from bqsm.classical_ot import (OtOutputDistribution, construct_pointer,

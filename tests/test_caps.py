@@ -6,9 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bqsm.classical_ot import (OtOutputDistribution, UotChannel,
-                               min_pointer_epsilon_lp, one_of_n_condition,
-                               reduce_ot_from_uot)
+from bqsm.classical_ot import (OtOutputDistribution, min_pointer_epsilon_lp,
+                               one_of_n_condition)
 from bqsm.cqstate import CqState, pa_distance_slow
 from bqsm.entropy import JointDistribution
 from bqsm.errors import CAPS, CapacityError
@@ -38,8 +37,6 @@ PAST_CAP = {
     "hash-family": (lambda: HashFamily(21, 1).members(), "n*ell=21"),
     "hash-table": (lambda: HashFamily(9, 2).eval_table(),
                    "members*2^n=134217728"),
-    "hash-pair": (lambda: reduce_ot_from_uot(
-        5, 2, 0.5, UotChannel.xor(5), force=True), "2*(n+1)*ell=24"),
     "pa-oracle": (lambda: pa_distance_slow(
         CqState(_labels(13, 1), [1.0], (np.ones((1, 1)),), 0),
         HashFamily(13, 1)), "members=8192"),
@@ -67,7 +64,7 @@ PAST_CAP = {
     "ot12-audit": (lambda: sender_security_distance(
         store_prefix(1), "ot12", 7), "n=7"),
     "ot12-block": (lambda: sender_security_distance(
-        store_prefix(0), "ot12", 5, ell=2), "2*(n+1)*ell+2*q+1=25"),
+        store_prefix(0), "ot12", 6, ell=3), "(n+2)*ell+2*q+1=25"),
     "rate-check": (lambda: rate_bound_check(
         QkdConfig(ec_bits_per_symbol=0.0), Eavesdropper("trivial"), 11, 0),
         "m=11"),

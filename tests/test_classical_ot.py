@@ -242,6 +242,19 @@ class TestUotReductions:
         assert not rec["promise_ok"]
         assert rec["h2_measured"] == pytest.approx(0.0)
 
+    def test_deterministic_channels_match_their_loops(self):
+        for n in (1, 2, 3):
+            nx2, low = 1 << (2 * n), (1 << n) - 1
+            for ch, y_of in (
+                    (UotChannel.honest(n, 0), lambda x: x >> n),
+                    (UotChannel.honest(n, 1), lambda x: x & low),
+                    (UotChannel.xor(n), lambda x: (x >> n) ^ (x & low)),
+                    (UotChannel.parity(n), lambda x: bin(x).count("1") & 1)):
+                t = np.zeros_like(ch.table)
+                for x in range(nx2):
+                    t[y_of(x), x] = 1.0
+                assert np.array_equal(ch.table, t)
+
     def test_splitting_reduction_met_promise(self):
         n = 9
         nx2 = 1 << (2 * n)

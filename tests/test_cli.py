@@ -118,9 +118,18 @@ class TestProcessInterface:
         # hash families past the exhaustive-averaging cap
         (("lhl-classical", "n=11", "ell=2"), 2, "n*ell=22"),
         (("pa-quantum", "n=7", "q=1", "ell=3"), 2, "n*ell=21"),
-        # the (f0, f1, d, s0, s1, k, k) block array, 2^27 cells here
-        (("sender-security", "protocol=ot12", "n=5", "ell=2"), 2,
-         "2*(n+1)*ell+2*q+1=27"),
+        # the (g0, g1, d, s0, s1, k, k) block array, at most 2^27 cells
+        (("sender-security", "protocol=ot12", "n=6", "ell=3"), 2,
+         "(n+2)*ell+2*q+1=27"),
+        # within that cap: (n+2)*ell+2*q+1 = 17
+        (("sender-security", "protocol=ot12", "n=5", "ell=2"), 0, None),
+        # channel tables are refused before any cell is built
+        (("ot-from-uot", "n=12"), 2, "8^n="),
+        (("splitting-reduction", "n=14"), 2, "2*4^n="),
+        # 43,947 row-space classes at n=9, ell=2: a (class, output) pair
+        # array of 175,788^2 cells is refused before any row is built
+        (("splitting-reduction", "ell=2"), 2,
+         "(classes(n,ell)*2^ell)^2=30901420944"),
     ])
     def test_library_errors_exit_2_with_json(self, params, code, named,
                                              tmp_path):

@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 from bqsm.entropy import (Distribution, JointDistribution,
-                          alpha_order_sum, azuma_empirical, azuma_tail,
-                          binary_entropy, chain_rule_slack,
-                          conditional_renyi, conditional_shannon, fano_bound,
+                          azuma_empirical, azuma_tail, binary_entropy,
+                          chain_rule_slack, conditional_renyi, fano_bound,
                           fraction_array, hamming_ball_size,
                           inverse_binary_entropy, renyi_entropy,
-                          shannon_entropy, smooth_max_entropy,
-                          smooth_min_entropy, smooth_to_ordinary_event,
-                          split_min_entropy)
+                          smooth_max_entropy, smooth_min_entropy,
+                          smooth_to_ordinary_event, split_min_entropy)
 from bqsm.errors import InputError, PromiseViolation
 
 INF = math.inf

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as hst
 
 from bqsm.bits import int_to_str
+from bqsm.classical_ot import UotChannel, reduce_ot_from_uot
 from bqsm.cqstate import (CqState, pa_distance, pa_output_state,
                           qmin_entropy_rel)
-from bqsm.hashing import HashFamily
+from bqsm.hashing import HashFamily, enumerate_ndlf
 from bqsm.protocols import (bell_pairwise_xor, breitbart_strategy,
                             full_memory, measure_fixed, run_rabin_ot,
                             sender_security_distance, store_prefix)
@@ -223,6 +224,124 @@ def _brute_ot12_distance(strategy, n, ell, alpha):
             for s1 in range(size_out):
                 total += 0.5 * trace_norm(diff[s0, s1])
     return total / len(members) ** 2
+
+
+class TestHashAverageOracles:
+    """The audits average over weighted row-space representatives or one
+    Walsh-Hadamard pass; these properties re-derive each average over
+    every member (pair) of the family."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(hst.integers(0, 3), hst.integers(0, 3), hst.integers(1, 2),
+           hst.integers(0, 1), hst.integers(0, 2 ** 32 - 1))
+    @example(0, 3, 2, 1, 0)
+    @example(3, 3, 2, 1, 1)
+    def test_representative_pairs_match_member_pairs(self, k0, k1, ell, q,
+                                                     seed):
+        # a random pointer block over x = (x0, x1) with |I0| = k0 and
+        # |I1| = k1, kept states of dimension 2^q
+        from bqsm.protocols.security import _pointer_distance
+        rng = np.random.default_rng(seed)
+        xs = np.arange(1 << (k0 + k1))
+        x0, x1 = xs >> k1, xs & ((1 << k1) - 1)
+        w = rng.random(len(xs)) * (rng.random(len(xs)) < 0.8)
+        dvec = rng.integers(0, 2, 1 << k1)[x1]
+        dim_k = 1 << q
+        kap = rng.integers(0, dim_k, len(xs))
+        vecs = rng.normal(size=(dim_k, dim_k)) \
+            + 1j * rng.normal(size=(dim_k, dim_k))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        ops = vecs[:, :, None] * vecs[:, None, :].conj()
+
+        def reps(k, vals):
+            if k == 0:
+                return np.zeros((1, len(vals)), np.uint32), np.ones(1)
+            table, weight = HashFamily(k, ell).representatives()
+            return table[:, vals], weight
+
+        got = _pointer_distance(w, dvec, kap, ops, reps(k0, x0),
+                                reps(k1, x1), ell)
+
+        def members(k, vals):
+            table = HashFamily(k, ell).eval_table() if k \
+                else np.zeros((1, 1), np.uint32)
+            return (table[:, vals, None] == np.arange(1 << ell)
+                    ).astype(float)
+
+        o0, o1 = members(k0, x0), members(k1, x1)
+        pick = (dvec[:, None] == np.arange(2)).astype(float)
+        blocks = np.einsum("x,xd,fxa,gxb,xij->fgdabij", w, pick, o0, o1,
+                           ops[kap], optimize=True)
+        total = 0.0
+        for d, axis in ((0, 3), (1, 2)):
+            sub = blocks[:, :, d]
+            diff = sub - sub.sum(axis=axis, keepdims=True) / (1 << ell)
+            total += np.abs(np.linalg.eigvalsh(
+                diff.reshape(-1, dim_k, dim_k))).sum()
+        want = 0.5 * total / (len(o0) * len(o1))
+        assert got == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(hst.integers(1, 3), hst.integers(1, 2), hst.integers(1, 4),
+           hst.integers(0, 2 ** 32 - 1))
+    def test_splitting_audits_match_member_loops(self, n, ell, n_y, seed):
+        # random channel and pointer; the member loops over (f0, f1) and
+        # over F_D columns that the splitting reduction used to run
+        from bqsm.classical_ot import (_class_indicator,
+                                       _measured_chain_entropy,
+                                       senders_distance_with_pointer)
+        from bqsm.entropy import JointDistribution, smooth_min_entropy
+        rng = np.random.default_rng(seed)
+        nx, s_out = 1 << n, 1 << ell
+        table = rng.random((n_y, nx * nx)) ** 3
+        table /= table.sum(axis=0)
+        ch = UotChannel(n, table)
+        d_of = {y: rng.integers(0, 2, nx) for y in range(n_y)}
+        fam = HashFamily(n, ell)
+        hot = (fam.eval_table()[:, :, None] == np.arange(s_out)
+               ).astype(float)
+        dist, cols = 0.0, []
+        for y, dvec in d_of.items():
+            mxy = table[y].reshape(nx, nx) / nx ** 2
+            for d, axis in ((0, 3), (1, 2)):
+                w = np.where(dvec == d, mxy, 0.0)
+                acc = np.einsum("fxa,xz,gzb->fgab", hot, w, hot)
+                marg = acc.sum(axis=axis, keepdims=True) / s_out
+                dist += 0.5 * np.abs(acc - marg).sum() / fam.size ** 2
+                cols.append(np.einsum("fxa,xz->zfa", hot, w) if d == 0
+                            else np.einsum("xz,fza->xfa", w, hot))
+        mass = np.hstack([c.reshape(nx, -1) for c in cols]) / fam.size
+        want_h, _ = smooth_min_entropy(JointDistribution(
+            [range(nx), range(mass.shape[1])], mass), 0.25)
+        ind = _class_indicator(fam)
+        assert senders_distance_with_pointer(ch, ind, d_of) \
+            == pytest.approx(dist, abs=1e-12)
+        assert _measured_chain_entropy(ch, ind, d_of, 0.25) \
+            == pytest.approx(want_h, abs=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(hst.integers(1, 3), hst.integers(1, 2), hst.integers(1, 4),
+           hst.integers(0, 2 ** 32 - 1))
+    def test_walsh_distance_matches_every_ndlf_member_average(
+            self, n, ell, n_y, seed):
+        rng = np.random.default_rng(seed)
+        table = rng.random((n_y, 1 << (2 * n))) ** 3
+        table /= table.sum(axis=0)
+        rec = reduce_ot_from_uot(n, ell, 0.5, UotChannel(n, table),
+                                 force=True)
+        fam = HashFamily(n, ell, "affine")
+        outs = fam.eval_table()
+        nx = 1 << n
+
+        def signs(a):
+            return np.array([[1 - 2 * (bin(a & int(o)).count("1") & 1)
+                              for o in row] for row in outs], dtype=float)
+
+        for beta in enumerate_ndlf(ell):
+            u, v = signs(beta.a0), signs(beta.a1)
+            dist = sum(0.5 * np.abs(u @ row.reshape(nx, nx) @ v.T).sum()
+                       for row in table / nx ** 2) / fam.size ** 2
+            assert rec["ndlf_distance"] == pytest.approx(dist, abs=1e-12)
 
 
 class TestRabinSecurityOracle:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bqsm.errors import CAPS, CapacityError, InputError
-from bqsm.protocols import (ChannelModel, LinearCode, binding_experiment,
+from bqsm.protocols import (ChannelModel, binding_experiment,
                             bell_pairwise_xor, bell_xor_attack,
                             breitbart_attack, breitbart_strategy,
                             effective_weak_parameters, full_memory,
