@@ -6,9 +6,13 @@ the constructive pointer extension behind the sufficiency proof, the
 1-of-n pairwise conditions, and reduction harnesses that build OT from a
 single universal-OT channel with exact hash-family averaging.
 
-Distributions live in plain numpy arrays indexed [s0, s1, w] (or
-[s_0, ..., s_{n-1}, w]); the dtype may be float64 or object (Fractions) so
-the exact equivalences can be tested without float ambiguity.
+Distributions live in float64 arrays indexed [s0, s1, w] (or
+[s_0, ..., s_{n-1}, w]). The XOR distance, the pointer extension and its
+distance are homogeneous of degree 1 in the mass, so an unnormalized
+array of integer counts (`normalized=False`) scales every result by the
+total count and keeps "is it zero" unchanged. On counts every step is
+integer addition, subtraction or a halving, which float64 does exactly,
+so the exact equivalences are tested without float ambiguity.
 """
 
 from __future__ import annotations
@@ -36,17 +40,15 @@ class OtOutputDistribution:
     mass[s0, s1, w]."""
 
     def __init__(self, mass, ell: int, w_labels=None, normalized=True):
-        m = np.asarray(mass)
-        if m.dtype != object:
-            m = m.astype(float)
+        m = np.array(mass, dtype=float)
         check_cap("ot-ell", "ell", ell)
         size = 1 << ell
         if m.ndim != 3 or m.shape[0] != size or m.shape[1] != size:
             raise InputError("mass must be (2^l, 2^l, |W|)")
         check_cap("ot-outputs", "|W|", m.shape[2])
-        if any(v < 0 for v in m.flat):
+        if (m < 0).any():
             raise InputError("negative mass")
-        total = sum(m.flat)
+        total = m.sum()
         if normalized and abs(total - 1) > 1e-9:
             raise InputError(f"total mass {total}")
         self.mass = m
@@ -62,7 +64,7 @@ class OtOutputDistribution:
         import json
         return json.dumps({"ell": self.ell,
                            "w_labels": [str(w) for w in self.w_labels],
-                           "mass": [float(v) for v in self.mass.flat]})
+                           "mass": self.mass.ravel().tolist()})
 
     @staticmethod
     def from_json(text: str) -> "OtOutputDistribution":
@@ -141,25 +143,13 @@ def construct_pointer(dist: OtOutputDistribution) -> PointerExtension:
     and at most 2^{2l+1} times the worst NDLF distance.
     """
     m = dist.mass
-    size = 1 << dist.ell
-    # every cell is assigned below, so ext takes the input's dtype as is
-    ext = np.empty((size, size, 2, dist.n_w), dtype=m.dtype)
-    for w in range(dist.n_w):
-        p = m[:, :, w]
-        row0 = [p[0, s1] for s1 in range(size)]
-        t = min(range(size), key=lambda j: (row0[j], j))
-        for s0 in range(size):
-            for s1 in range(size):
-                a0 = p[s0, t]
-                a1 = p[0, s1] - p[0, t]
-                target = p[s0, s1]
-                delta = target - (a0 + a1)
-                b0 = a0 + delta
-                if b0 < 0:
-                    b0 = 0 * a0
-                b1 = target - b0
-                ext[s0, s1, 0, w] = b0
-                ext[s0, s1, 1, w] = b1
+    w = np.arange(dist.n_w)
+    t = m[0].argmin(axis=0)           # first minimizing column per w
+    a0 = m[:, t, w][:, None, :]       # p_{s0, t}
+    a1 = (m[0] - m[0, t, w])[None]    # p_{0, s1} - p_{0, t}
+    b0 = a0 + (m - (a0 + a1))
+    b0[b0 < 0] = 0.0
+    ext = np.stack([b0, m - b0], axis=2)
     eps = sender_security_of_extension(ext)
     return PointerExtension(ext, eps)
 
@@ -173,8 +163,7 @@ def min_pointer_epsilon_lp(dist: OtOutputDistribution) -> float:
 
     check_cap("lp-ell", "ell", dist.ell)
     check_cap("lp-outputs", "|W|", dist.n_w)
-    m = np.asarray([[ [float(v) for v in col] for col in row]
-                    for row in dist.mass])
+    m = dist.mass
     nw = dist.n_w
     # variables: q[s0,s1,d,w] (8 nw) plus slack t[s0,s1,d,w] for |.|
     nq = 8 * nw
@@ -232,9 +221,7 @@ def one_of_n_condition(mass: np.ndarray, ell: int, epsilon: float):
     uniform given (W, remaining strings) must be at most
     nu = epsilon / (2^{2l} n (n-1)). Returns (max distance, pass flag).
     """
-    m = np.asarray(mass)
-    if m.dtype != object:
-        m = m.astype(float)
+    m = np.asarray(mass, dtype=float)
     n = m.ndim - 1
     check_cap("one-of-n", "n", n)
     check_cap("one-of-n-ell", "ell", ell)

@@ -292,22 +292,20 @@ def _exp_breitbart(seed):
 
 
 def _exp_xor_characterization(seed, trials=1000, n_w=2):
-    from fractions import Fraction
     from .classical_ot import (OtOutputDistribution, construct_pointer,
                                xor_uniformity)
     violations = 0
     zero_cases = 0
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        fr = np.empty((2, 2, n_w), dtype=object)
+        # unnormalized integer counts, on which both checks are exact
         if t % 2 == 0:
-            num = rng.integers(0, 8, size=4 * n_w)
-            if num.sum() == 0:
-                num[0] = 1
-            for i in range(4 * n_w):
-                fr.flat[i] = Fraction(int(num[i]), int(num.sum()))
+            counts = rng.integers(0, 8, size=4 * n_w).reshape(2, 2, n_w)
+            if counts.sum() == 0:
+                counts[0, 0, 0] = 1
         else:
             # xor-balanced construction: per w, a+d = b+c
+            counts = np.zeros((2, 2, n_w), dtype=int)
             usable = True
             for w in range(n_w):
                 a, b = int(rng.integers(0, 5)), int(rng.integers(0, 5))
@@ -315,16 +313,10 @@ def _exp_xor_characterization(seed, trials=1000, n_w=2):
                 if b + c < a:
                     usable = False
                     break
-                fr[0, 0, w], fr[0, 1, w] = Fraction(a), Fraction(b)
-                fr[1, 0, w], fr[1, 1, w] = Fraction(c), Fraction(b + c - a)
-            if not usable:
+                counts[:, :, w] = [[a, b], [c, b + c - a]]
+            if not usable or counts.sum() == 0:
                 continue
-            total = sum(fr.flat)
-            if total == 0:
-                continue
-            for i in range(4 * n_w):
-                fr.flat[i] = fr.flat[i] / total
-        dist = OtOutputDistribution(fr, 1)
+        dist = OtOutputDistribution(counts, 1, normalized=False)
         x = xor_uniformity(dist)
         pe = construct_pointer(dist)
         if (x == 0) != (pe.epsilon == 0):

@@ -351,10 +351,9 @@ def classical_lhl_distance(p_x: Distribution, family: HashFamily
     lens = {len(o) for o in p_x.outcomes}
     if len(lens) != 1 or lens.pop() != family.n:
         raise InputError("hash family domain does not match the alphabet")
-    mass = np.asarray([float(v) for v in p_x.mass])
     exact = _class_average(
         [(np.array([int(o, 2) for o in p_x.outcomes]),
-          mass[:, None, None])], family)
+          p_x.mass[:, None, None])], family)
     bound = 0.5 * 2.0 ** (-0.5 * (renyi_entropy(p_x, 2) - family.ell))
     return exact, bound
 

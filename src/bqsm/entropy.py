@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -40,16 +39,14 @@ class Distribution:
 
     def __init__(self, outcomes, mass, normalized: bool = True):
         self.outcomes = tuple(outcomes)
-        m = np.asarray(mass)
-        if m.dtype != object:
-            m = m.astype(float)
+        m = np.array(mass, dtype=float)
         if m.ndim != 1 or len(m) != len(self.outcomes):
             raise InputError("mass vector does not match alphabet")
         if len(self.outcomes) != len(set(self.outcomes)):
             raise InputError("duplicate outcome labels")
-        if any(v < 0 for v in m):
+        if (m < 0).any():
             raise InputError("negative probability mass")
-        total = sum(m)
+        total = m.sum()
         if normalized and abs(total - 1) > MASS_TOL:
             raise InputError(f"normalized distribution with total mass {total}")
         if not normalized and total > 1 + MASS_TOL:
@@ -61,20 +58,12 @@ class Distribution:
     def p(self, outcome):
         return self.mass[self._index[outcome]]
 
-    def total(self):
-        return float(sum(self.mass))
-
     def support_size(self) -> int:
-        return int(sum(1 for v in self.mass if v > 0))
-
-    def as_float(self) -> "Distribution":
-        return Distribution(self.outcomes,
-                            np.array([float(v) for v in self.mass]),
-                            normalized=self.normalized)
+        return int((self.mass > 0).sum())
 
     def to_json(self) -> str:
         return json.dumps({"alphabet": list(map(str, self.outcomes)),
-                           "mass": [float(v) for v in self.mass],
+                           "mass": self.mass.tolist(),
                            "normalized": self.normalized})
 
     @staticmethod
@@ -103,15 +92,13 @@ class JointDistribution:
 
     def __init__(self, axes, mass, normalized: bool = True):
         self.axes = tuple(tuple(a) for a in axes)
-        m = np.asarray(mass)
-        if m.dtype != object:
-            m = m.astype(float)
+        m = np.array(mass, dtype=float)
         if m.shape != tuple(len(a) for a in self.axes):
             raise InputError("mass tensor does not match axis alphabets")
         check_cap("joint-entries", "entries", m.size)
-        if any(v < 0 for v in m.flat):
+        if (m < 0).any():
             raise InputError("negative probability mass")
-        total = sum(m.flat)
+        total = m.sum()
         if normalized and abs(total - 1) > MASS_TOL:
             raise InputError(f"normalized joint with total mass {total}")
         self.mass = m
@@ -120,9 +107,6 @@ class JointDistribution:
     @property
     def k(self) -> int:
         return len(self.axes)
-
-    def total(self):
-        return sum(self.mass.flat)
 
     def marginal(self, axis: int) -> Distribution:
         keep = axis % self.k
@@ -140,16 +124,11 @@ class JointDistribution:
         sl = [slice(None)] * self.k
         sl[ax] = idx
         block = self.mass[tuple(sl)]
-        w = sum(np.asarray(block).flat)
+        w = block.sum()
         if w == 0:
             raise InputError(f"conditioning on zero-probability value {value!r}")
         rest = [self.axes[a] for a in range(self.k) if a != ax]
         return JointDistribution(rest, block / w, normalized=True)
-
-    def as_float(self) -> "JointDistribution":
-        m = np.vectorize(float)(self.mass) if self.mass.dtype == object \
-            else self.mass
-        return JointDistribution(self.axes, m, normalized=self.normalized)
 
     @staticmethod
     def from_distribution(p: Distribution) -> "JointDistribution":
@@ -181,7 +160,7 @@ class SmoothingEvent:
 
 def alpha_order_sum(p: Distribution, alpha: float) -> float:
     """Sum of p(x)^alpha, with the max/support conventions at the limits."""
-    m = np.asarray([float(v) for v in p.mass])
+    m = p.mass
     if alpha < 0:
         raise InputError("alpha must be non-negative")
     if math.isinf(alpha):
@@ -200,8 +179,7 @@ def renyi_entropy(p: Distribution, alpha: float) -> float:
     if math.isinf(alpha):
         return -_log2(s)
     if alpha == 1:
-        m = np.asarray([float(v) for v in p.mass])
-        nz = m[m > 0]
+        nz = p.mass[p.mass > 0]
         return float(-(nz * np.log2(nz)).sum())
     return _log2(s) / (1.0 - alpha)
 
@@ -219,7 +197,7 @@ def _cond_slices(p: JointDistribution):
     positive marginal. Works on X x Y joints (axis 0 = X)."""
     if p.k != 2:
         raise InputError("expected a two-axis joint over X and Y")
-    m = np.asarray([[float(v) for v in row] for row in p.mass])
+    m = p.mass
     for j in range(m.shape[1]):
         w = m[:, j].sum()
         if w > 0:
@@ -282,9 +260,8 @@ def smooth_min_entropy(p: JointDistribution, epsilon: float
     """
     if epsilon < 0 or epsilon >= 1:
         raise InputError("epsilon must lie in [0, 1)")
-    pf = p.as_float()
-    m = pf.mass
-    if pf.k != 2:
+    m = p.mass
+    if p.k != 2:
         raise InputError("expected a two-axis joint over X and Y")
     py = m.sum(axis=0)
     weights = np.broadcast_to(py, m.shape)
@@ -336,9 +313,8 @@ def smooth_max_entropy(p: JointDistribution, epsilon: float
     """
     if epsilon < 0 or epsilon >= 1:
         raise InputError("epsilon must lie in [0, 1)")
-    pf = p.as_float()
-    m = pf.mass
-    if pf.k != 2:
+    m = p.mass
+    if p.k != 2:
         raise InputError("expected a two-axis joint over X and Y")
     nx, ny = m.shape
     # per column, atoms sorted ascending; cost_y(s) = mass of all but the
@@ -356,7 +332,6 @@ def smooth_max_entropy(p: JointDistribution, epsilon: float
             best_s = s
             break
     retained = m.copy()
-    budget = epsilon
     for j in range(ny):
         col = m[:, j]
         extra = int((col > 0).sum()) - best_s
@@ -367,7 +342,6 @@ def smooth_max_entropy(p: JointDistribution, epsilon: float
                 if removed == extra:
                     break
                 if col[i] > 0:
-                    budget -= col[i]
                     retained[i, j] = 0.0
                     removed += 1
     ev = SmoothingEvent(p.axes[0], p.axes[1], retained,
@@ -384,8 +358,7 @@ def smooth_to_ordinary_event(p: JointDistribution, epsilon: float):
     Pr(E') >= 1 - 2 epsilon and per-y min-entropy >= r - 1.
     """
     r, ev = smooth_min_entropy(p, epsilon)
-    m = p.as_float().mass
-    py = m.sum(axis=0)
+    py = p.mass.sum(axis=0)
     retained = ev.retained.copy()
     for j in range(retained.shape[1]):
         if py[j] > 0 and retained[:, j].sum() / py[j] < 0.5:
@@ -442,7 +415,7 @@ def split_min_entropy(p: JointDistribution, alpha: float) -> SplitResult:
     """
     if p.k != 2:
         raise InputError("expected a joint over X0 and X1")
-    m = np.asarray([[float(v) for v in row] for row in p.mass])
+    m = p.mass
     h_joint = -_log2(m.max())
     if h_joint < alpha - 1e-9:
         raise PromiseViolation(
@@ -550,7 +523,7 @@ def fano_bound(p_joint: JointDistribution, guess) -> tuple[float, float]:
     if p_joint.k != 2:
         raise InputError("expected a joint over X and Y")
     g = guess if callable(guess) else guess.__getitem__
-    m = np.asarray([[float(v) for v in row] for row in p_joint.mass])
+    m = p_joint.mass
     xs, ys = p_joint.axes
     p_err = 0.0
     for j, y in enumerate(ys):
@@ -564,15 +537,3 @@ def fano_bound(p_joint: JointDistribution, guess) -> tuple[float, float]:
     if size > 1:
         bound += p_err * math.log2(size - 1)
     return h_cond, bound
-
-
-# ---------------------------------------------------------------------------
-# Rational backend helpers
-# ---------------------------------------------------------------------------
-
-def fraction_array(values) -> np.ndarray:
-    """Object-dtype array of Fractions, for exact fixtures."""
-    arr = np.empty(len(values), dtype=object)
-    for i, v in enumerate(values):
-        arr[i] = Fraction(v)
-    return arr

@@ -129,7 +129,8 @@ class HashFamily:
         the member index.
         """
         self._check_size()
-        check_cap("hash-table", "members*2^n", self.size << self.n)
+        check_cap("hash-table", "2^(n*ell+n)" if self.kind == "linear"
+                  else "2^((n+1)*ell+n)", self.size << self.n)
         xs = np.arange(1 << self.n, dtype=np.uint64)
         row_vals = np.arange(1 << self.n, dtype=np.uint64)
         par = parity_u64(row_vals[:, None] & xs[None, :]).astype(np.uint32)
@@ -157,7 +158,8 @@ class HashFamily:
         prod_{i<r} (2^l - 2^i) members share each, times 2^l if affine.
         """
         self._check_size()
-        check_cap("hash-table", "classes*2^n", self.classes << self.n)
+        check_cap("hash-table", "classes(n,ell)*2^n",
+                  self.classes << self.n)
         maps = [_echelon_maps(self.n, r)
                 for r in range(min(self.n, self.ell) + 1)]
         step = max(1, (1 << 20) >> self.n)

@@ -7,7 +7,6 @@ verification at fixed small sizes, as itemized per criterion.
 
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -279,15 +278,14 @@ def test_criterion_11_xor_characterization():
     counterexamples = 0
     zero_cases = 0
     for trial in range(10_000):
-        fr = np.empty((2, 2, 2), dtype=object)
+        # unnormalized integer counts: both distances are homogeneous of
+        # degree 1 in the mass and exact in float64 on counts
         if trial % 2 == 0:
-            num = rng.integers(0, 7, size=8)
-            if num.sum() == 0:
-                num[0] = 1
-            den = int(num.sum())
-            for i in range(8):
-                fr.flat[i] = Fraction(int(num[i]), den)
+            counts = rng.integers(0, 7, size=8).reshape(2, 2, 2)
+            if counts.sum() == 0:
+                counts[0, 0, 0] = 1
         else:
+            counts = np.zeros((2, 2, 2), dtype=int)
             ok = True
             for w in range(2):
                 a, b, cc = (int(v) for v in rng.integers(0, 5, 3))
@@ -295,16 +293,10 @@ def test_criterion_11_xor_characterization():
                 if dd < 0:
                     ok = False
                     break
-                fr[0, 0, w], fr[0, 1, w] = Fraction(a), Fraction(b)
-                fr[1, 0, w], fr[1, 1, w] = Fraction(cc), Fraction(dd)
-            if not ok:
+                counts[:, :, w] = [[a, b], [cc, dd]]
+            if not ok or counts.sum() == 0:
                 continue
-            total = sum(fr.flat)
-            if total == 0:
-                continue
-            for i in range(8):
-                fr.flat[i] /= total
-        dist = OtOutputDistribution(fr, 1)
+        dist = OtOutputDistribution(counts, 1, normalized=False)
         x = xor_uniformity(dist)
         eps = construct_pointer(dist).epsilon
         if (x == 0) != (eps == 0):
@@ -327,7 +319,7 @@ def test_criterion_11_xor_characterization():
             nd, _ = ndlf_security_distance(dist)
             budget_viol += construct_pointer(dist).epsilon \
                 > factor * nd + 1e-12
-    report(11, "XOR iff-characterization (1e4 rational tables) + "
+    report(11, "XOR iff-characterization (1e4 integer-count tables) + "
            "perturbation budgets",
            counterexamples == 0 and budget_viol == 0 and zero_cases > 2000,
            f"{counterexamples} counterexamples, {budget_viol} budget "

@@ -1,6 +1,7 @@
 """The capacity table: every cap refuses a value just past it with the
 one message format, and no module raises a capacity error of its own."""
 
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ PAST_CAP = {
         normalized=False), "entries=1049600"),
     "hash-family": (lambda: HashFamily(21, 1).members(), "n*ell=21"),
     "hash-table": (lambda: HashFamily(9, 2).eval_table(),
-                   "members*2^n=134217728"),
+                   "2^(n*ell+n)=134217728"),
     "pa-oracle": (lambda: pa_distance_slow(
         CqState(_labels(13, 1), [1.0], (np.ones((1, 1)),), 0),
         HashFamily(13, 1)), "members=8192"),
@@ -77,9 +78,7 @@ def test_every_cap_has_a_case():
     assert set(PAST_CAP) == set(CAPS)
 
 
-@pytest.mark.parametrize("name", sorted(CAPS))
-def test_cap_refuses_a_value_just_past_it(name):
-    call, named = PAST_CAP[name]
+def _assert_refused(name, call, named):
     with pytest.raises(CapacityError) as err:
         call()
     param = named.split("=")[0]
@@ -87,10 +86,64 @@ def test_cap_refuses_a_value_just_past_it(name):
                               f"{CAPS[name]}; lower {param}")
 
 
+@pytest.mark.parametrize("name", sorted(CAPS))
+def test_cap_refuses_a_value_just_past_it(name):
+    _assert_refused(name, *PAST_CAP[name])
+
+
+def test_hash_table_labels_name_spec_parameters():
+    # the affine member table and the row-space class table
+    _assert_refused("hash-table",
+                    lambda: HashFamily(9, 2, "affine").eval_table(),
+                    "2^((n+1)*ell+n)=536870912")
+    _assert_refused("hash-table",
+                    lambda: next(HashFamily(14, 1).row_space_classes()),
+                    "classes(n,ell)*2^n=268435456")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bqsm"
+
+
 def test_only_check_cap_raises_capacity_errors():
-    src = Path(__file__).resolve().parents[1] / "src" / "bqsm"
     sites = [(path.name, line.strip())
-             for path in sorted(src.rglob("*.py"))
+             for path in sorted(SRC.rglob("*.py"))
              for line in path.read_text().splitlines()
              if "raise CapacityError" in line]
     assert len(sites) == 1 and sites[0][0] == "errors.py", sites
+
+
+def test_imports_are_used_and_mass_is_float64():
+    """Every imported name is used (or listed in `__all__`), and no module
+    imports `fractions` or builds a `dtype=object` array: float64 is the
+    only mass type."""
+    unused, banned = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = \
+                        node.lineno
+                    if alias.name == "fractions":
+                        banned.append((path.name, node.lineno))
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+                if node.module == "fractions":
+                    banned.append((path.name, node.lineno))
+            elif isinstance(node, ast.keyword) and node.arg == "dtype" \
+                    and ast.unparse(node.value) in ("object", "np.object_"):
+                banned.append((path.name, node.lineno))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        unused += [(path.name, line, name)
+                   for name, line in imported.items() if name not in used]
+    assert not unused, unused
+    assert not banned, banned

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -12,15 +10,13 @@ from bqsm.classical_ot import (OtOutputDistribution, UotChannel,
 from bqsm.errors import CapacityError, InputError, PromiseViolation
 
 
-def rational_table(rng, shape):
+def count_table(rng, shape):
+    """Unnormalized integer counts, on which the XOR distance and the
+    pointer extension are exact (see the `classical_ot` docstring)."""
     num = rng.integers(0, 7, size=int(np.prod(shape)))
     if num.sum() == 0:
         num[0] = 1
-    den = int(num.sum())
-    fr = np.empty(shape, dtype=object)
-    for i in range(num.size):
-        fr.flat[i] = Fraction(int(num[i]), den)
-    return fr
+    return num.reshape(shape)
 
 
 class TestXorCriterion:
@@ -103,22 +99,22 @@ class TestConstructPointer:
     def test_marginal_recovered_exactly(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            fr = rational_table(rng, (2, 2, 2))
-            dist = OtOutputDistribution(fr, 1)
+            counts = count_table(rng, (2, 2, 2))
+            dist = OtOutputDistribution(counts, 1, normalized=False)
             pe = construct_pointer(dist)
-            assert (pe.extended.sum(axis=2) == fr).all()
+            assert (pe.extended.sum(axis=2) == counts).all()
 
     def test_iff_characterization_rational(self):
         rng = np.random.default_rng(2)
         zero_seen = nonzero_seen = 0
         for trial in range(2000):
             if trial % 2 == 0:
-                fr = rational_table(rng, (2, 2, 2))
+                counts = count_table(rng, (2, 2, 2))
             else:
-                fr = _balanced_rational(rng, 2)
-                if fr is None:
+                counts = _balanced_counts(rng, 2)
+                if counts is None:
                     continue
-            dist = OtOutputDistribution(fr, 1)
+            dist = OtOutputDistribution(counts, 1, normalized=False)
             x = xor_uniformity(dist)
             pe = construct_pointer(dist)
             assert (x == 0) == (pe.epsilon == 0)
@@ -170,21 +166,16 @@ class TestConstructPointer:
             assert nd <= eps + 1e-12
 
 
-def _balanced_rational(rng, nw):
-    fr = np.empty((2, 2, nw), dtype=object)
+def _balanced_counts(rng, nw):
+    """XOR-balanced counts (a + d = b + c per w), or None if unusable."""
+    counts = np.zeros((2, 2, nw), dtype=int)
     for w in range(nw):
         a, b, c = (int(v) for v in rng.integers(0, 5, 3))
         d = b + c - a
         if d < 0:
             return None
-        fr[0, 0, w], fr[0, 1, w] = Fraction(a), Fraction(b)
-        fr[1, 0, w], fr[1, 1, w] = Fraction(c), Fraction(d)
-    total = sum(fr.flat)
-    if total == 0:
-        return None
-    for i in range(fr.size):
-        fr.flat[i] /= total
-    return fr
+        counts[:, :, w] = [[a, b], [c, d]]
+    return counts if counts.sum() else None
 
 
 class TestOneOfN:

@@ -1,16 +1,18 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from bqsm.classical_ot import OtOutputDistribution
 from bqsm.entropy import (Distribution, JointDistribution,
                           azuma_empirical, azuma_tail, binary_entropy,
                           chain_rule_slack, conditional_renyi, fano_bound,
-                          fraction_array, hamming_ball_size,
-                          inverse_binary_entropy, renyi_entropy,
-                          smooth_max_entropy, smooth_min_entropy,
-                          smooth_to_ordinary_event, split_min_entropy)
+                          hamming_ball_size, inverse_binary_entropy,
+                          renyi_entropy, smooth_max_entropy,
+                          smooth_min_entropy, smooth_to_ordinary_event,
+                          split_min_entropy)
 from bqsm.errors import InputError, PromiseViolation
 
 INF = math.inf
@@ -394,7 +396,25 @@ class TestDistributions:
         assert d2.outcomes == d.outcomes
         assert np.allclose(d2.mass, d.mass)
 
-    def test_fraction_backend(self):
-        arr = fraction_array([1, 2, 3])
-        d = Distribution("abc", arr / 6)
-        assert renyi_entropy(d, INF) == pytest.approx(1.0)
+    def test_mass_is_float64(self):
+        # ints and Fractions are stored as float64 mass; a negative entry,
+        # whatever its type, is still refused
+        counts = np.arange(8).reshape(2, 2, 2)
+        sixths = [Fraction(1, 6), Fraction(2, 6), Fraction(3, 6)]
+        made = [Distribution("abc", sixths),
+                Distribution("abc", [1, 0, 0]),
+                JointDistribution([range(2), range(3)], [sixths, [0, 0, 0]]),
+                JointDistribution([range(2), range(2)], [[1, 0], [0, 0]]),
+                OtOutputDistribution(counts, 1, normalized=False),
+                OtOutputDistribution(
+                    [[[Fraction(1, 4)]] * 2] * 2, 1)]
+        for dist in made:
+            assert dist.mass.dtype == np.float64
+        assert renyi_entropy(made[0], INF) == pytest.approx(1.0)
+        for bad in (lambda: Distribution("ab", [Fraction(-1, 2), 1]),
+                    lambda: JointDistribution([range(1), range(2)],
+                                              [[-1, 2]], normalized=False),
+                    lambda: OtOutputDistribution(-counts, 1,
+                                                 normalized=False)):
+            with pytest.raises(InputError):
+                bad()

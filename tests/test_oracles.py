@@ -4,13 +4,16 @@ intricate exact computations, compared against the production paths."""
 import itertools
 import math
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hst
 
 from bqsm.bits import int_to_str
-from bqsm.classical_ot import UotChannel, reduce_ot_from_uot
+from bqsm.classical_ot import (OtOutputDistribution, UotChannel,
+                               construct_pointer, reduce_ot_from_uot,
+                               xor_uniformity)
 from bqsm.cqstate import (CqState, pa_distance, pa_output_state,
                           qmin_entropy_rel)
 from bqsm.hashing import HashFamily, enumerate_ndlf
@@ -150,6 +153,82 @@ class TestProductTableProperty:
             proj = unit[..., :, None] * unit[..., None, :].conj()
             ops = _kept_ops(theta, kept_idx)[kappa]
             assert np.abs(proj - ops)[p_x > 0].max() <= 1e-12
+
+
+@hst.composite
+def _ot_counts(draw):
+    """Integer counts 0..7 over [s0, s1, w] at l in {1, 2}, |W| in 1..4,
+    with some w-slices zeroed whole."""
+    ell, nw = draw(hst.integers(1, 2)), draw(hst.integers(1, 4))
+    size = 1 << ell
+    counts = np.array(draw(hst.lists(hst.integers(0, 7),
+                                     min_size=size * size * nw,
+                                     max_size=size * size * nw)))
+    counts = counts.reshape(size, size, nw)
+    counts[:, :, draw(hst.lists(hst.integers(0, nw - 1)))] = 0
+    return ell, counts
+
+
+def _pointer_cells(m):
+    """Per-cell pointer extension of m[s0, s1, w], on float64 or on
+    Fraction cells: t is the first column minimizing m[0, t, w]."""
+    size, _, nw = m.shape
+    ext = np.empty((size, size, 2, nw), dtype=m.dtype)
+    for w in range(nw):
+        p = m[:, :, w]
+        t = min(range(size), key=lambda j: (p[0, j], j))
+        for s0 in range(size):
+            for s1 in range(size):
+                a0 = p[s0, t]
+                a1 = p[0, s1] - p[0, t]
+                b0 = a0 + (p[s0, s1] - (a0 + a1))
+                if b0 < 0:
+                    b0 = 0 * a0
+                ext[s0, s1, 0, w] = b0
+                ext[s0, s1, 1, w] = p[s0, s1] - b0
+    return ext
+
+
+def _fraction_epsilon(ext):
+    """delta(P_{S_{1-D} S_D D W}, unif . P_{S_D D W}) in Fractions."""
+    size = ext.shape[0]
+    d0 = ext[:, :, 0] - ext[:, :, 0].sum(axis=1, keepdims=True) / size
+    d1 = ext[:, :, 1] - ext[:, :, 1].sum(axis=0, keepdims=True) / size
+    return sum(abs(v) for v in itertools.chain(d0.flat, d1.flat)) / 2
+
+
+class TestPointerExtensionOracle:
+    """On integer counts the float64 XOR distance and pointer extension
+    are exact: they equal the same quantities computed in Fractions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_ot_counts())
+    @example((1, np.zeros((2, 2, 2), dtype=int)))
+    @example((1, np.array([[[1, 0], [2, 0]], [[3, 0], [4, 0]]])))
+    @example((2, np.arange(48).reshape(4, 4, 3) % 8))
+    def test_extension_on_counts_matches_fractions(self, case):
+        ell, counts = case
+        masses = [counts.astype(float)]
+        if counts.any():
+            masses.append(counts / counts.sum())
+        for m in masses:
+            ext = construct_pointer(OtOutputDistribution(
+                m, ell, normalized=False)).extended
+            assert ext.tobytes() == _pointer_cells(m).tobytes()
+        dist = OtOutputDistribution(counts, ell, normalized=False)
+        pe = construct_pointer(dist)
+        assert (pe.extended.sum(axis=2) == counts).all()
+        exact = np.array([Fraction(int(v)) for v in counts.flat],
+                         dtype=object).reshape(counts.shape)
+        ext_exact = _pointer_cells(exact)
+        assert (pe.extended == ext_exact.astype(float)).all()
+        # exact equality, so "is it zero" agrees too
+        assert pe.epsilon == _fraction_epsilon(ext_exact)
+        if ell == 1:
+            # 1/2 sum_w |sum_{s0, s1} (-1)^{s0 + s1} P(s0, s1, w)|
+            signed = exact[0, 0] - exact[0, 1] - exact[1, 0] + exact[1, 1]
+            xor_exact = sum(abs(v) for v in signed) / 2
+            assert xor_uniformity(dist) == xor_exact
 
 
 def _brute_ot12_distance(strategy, n, ell, alpha):
