@@ -15,10 +15,18 @@ from .errors import InputError
 _BYTE_PARITY = np.array(
     [bin(v).count("1") & 1 for v in range(256)], dtype=np.uint8
 )
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_BASES = bytes.maketrans(b"\0\1", b"+x")
 
 
 def bits_to_str(bits) -> str:
-    return "".join("1" if b else "0" for b in bits)
+    """'0'/'1' text of a bit sequence, any nonzero entry a '1'."""
+    return np.asarray(bits, dtype=bool).tobytes().translate(_DIGITS).decode()
+
+
+def bases_to_str(theta) -> str:
+    """BB84 basis labels of a boolean basis array: False is '+', True 'x'."""
+    return np.asarray(theta, dtype=bool).tobytes().translate(_BASES).decode()
 
 
 def bits_to_int(bits) -> int:

@@ -60,21 +60,6 @@ class OtOutputDistribution:
     def n_w(self) -> int:
         return self.mass.shape[2]
 
-    def to_json(self) -> str:
-        import json
-        return json.dumps({"ell": self.ell,
-                           "w_labels": [str(w) for w in self.w_labels],
-                           "mass": self.mass.ravel().tolist()})
-
-    @staticmethod
-    def from_json(text: str) -> "OtOutputDistribution":
-        import json
-        obj = json.loads(text)
-        size = 1 << obj["ell"]
-        labels = obj["w_labels"]
-        mass = np.asarray(obj["mass"]).reshape(size, size, len(labels))
-        return OtOutputDistribution(mass, obj["ell"], labels)
-
 
 @dataclass
 class PointerExtension:

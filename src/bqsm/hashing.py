@@ -10,6 +10,7 @@ evaluation is XOR-and-parity.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -18,6 +19,8 @@ import numpy as np
 
 from .bits import bits_to_int, parity, parity_u64
 from .errors import InputError, check_cap
+
+_ROW_BLOCK_WORDS = 1 << 16  # gf2_matvec_stream draws rows in blocks this big
 
 
 @dataclass(frozen=True)
@@ -254,14 +257,16 @@ def _pair_histogram_uniform(table: np.ndarray, n: int, ell: int,
     return True
 
 
-def pad_substring(x: str, index_set) -> str:
-    """x restricted to the (0-based, sorted) index set, zero-padded back to
-    the original length."""
-    idx = sorted(set(index_set))
-    if any(i < 0 or i >= len(x) for i in idx):
+def restriction_int(x, index_set) -> int:
+    """The bit array x restricted to the (0-based) index set in increasing
+    order, zero-padded back to len(x), packed as an int (see `bits`)."""
+    idx = np.asarray(index_set, dtype=np.int64)
+    # read as unsigned, a negative index is >= 2^63 and fails the same test
+    if idx.size and idx.view(np.uint64).max() >= len(x):
         raise InputError("index outside the string")
-    kept = "".join(x[i] for i in idx)
-    return kept + "0" * (len(x) - len(kept))
+    keep = np.zeros(len(x), dtype=bool)
+    keep[idx] = True
+    return bits_to_int(x[keep]) << (len(x) - int(np.count_nonzero(keep)))
 
 
 # ---------------------------------------------------------------------------
@@ -374,17 +379,27 @@ def compose_balanced(beta, fam0: HashFamily, fam1: HashFamily,
 
 def gf2_matvec_stream(seed: int, ell: int, x_bits: np.ndarray) -> np.ndarray:
     """Apply a seeded random l x m GF(2) matrix to a long bit vector without
-    materializing the matrix; rows are drawn as packed 64-bit words."""
-    m = len(x_bits)
-    words = (m + 63) // 64
-    padded = np.zeros(words * 64, dtype=np.uint8)
-    padded[:m] = x_bits
-    x_packed = np.frombuffer(bits_to_int(padded).to_bytes(words * 8, "big"),
-                             dtype=">u8").astype(np.uint64)
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(0, 1 << 63, size=(ell, words), dtype=np.uint64)
-    rows <<= np.uint64(1)
-    rows |= rng.integers(0, 2, size=(ell, words), dtype=np.uint64)
-    rows &= x_packed
-    # parity is linear: XOR the words of each row, then one parity per row
-    return parity_u64(np.bitwise_xor.reduce(rows, axis=1)).astype(np.uint8)
+    materializing the matrix; rows are drawn as packed 64-bit words.
+
+    Stream order: the seeded generator gives all l*words 63-bit high parts
+    row-major, then all l*words low bits. Row blocks of about
+    `_ROW_BLOCK_WORDS` words keep it with two generators: the seeded one for
+    the high parts, a copy advanced past them for the low bits."""
+    words = (len(x_bits) + 63) // 64
+    x_packed = np.zeros(words * 8, dtype=np.uint8)
+    x_packed[:(len(x_bits) + 7) // 8] = np.packbits(x_bits)
+    x_packed = x_packed.view(">u8").astype(np.uint64)
+    high = np.random.default_rng(seed)
+    low = np.random.Generator(
+        copy.deepcopy(high.bit_generator).advance(ell * words))
+    step = max(1, _ROW_BLOCK_WORDS // words)
+    acc = np.empty(ell, dtype=np.uint64)
+    for start in range(0, ell, step):
+        size = (min(step, ell - start), words)
+        rows = high.integers(0, 1 << 63, size=size, dtype=np.uint64)
+        rows <<= np.uint64(1)
+        rows |= low.integers(0, 2, size=size, dtype=np.uint64)
+        rows &= x_packed
+        # parity is linear: XOR the words of each row, then one parity each
+        acc[start:start + size[0]] = np.bitwise_xor.reduce(rows, axis=1)
+    return parity_u64(acc).astype(np.uint8)

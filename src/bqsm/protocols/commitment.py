@@ -22,7 +22,7 @@ from functools import reduce
 
 import numpy as np
 
-from ..bits import bits_to_str
+from ..bits import bases_to_str, bits_to_str
 from ..entropy import hamming_ball_size
 from ..errors import InputError, PromiseViolation, check_cap
 from ..uncertainty import event_from_distributions
@@ -51,18 +51,16 @@ def run_commitment(b: int, channel: ChannelModel, committer, n: int,
     rng = np.random.default_rng(seed)
     tr = ProtocolTranscript(f"commitment_{variant}", seed, n)
     x = rng.integers(0, 2, size=n, dtype=np.uint8)
-    theta = np.where(rng.integers(0, 2, size=n) == 0, "+", "x")
-    basis_b = "+" if b == 0 else "x"
-    match = theta == basis_b
+    theta = rng.integers(0, 2, size=n) == 1     # True: basis x
+    match = theta == (b != 0)
     x_meas = honest_outcomes(rng, x, match, phi)
     tr.say("C", "open", {"b": b, "x_prime": bits_to_str(x_meas)})
-    checked = match
-    mism = int((x[checked] != x_meas[checked]).sum())
-    allowed = tol * int(checked.sum())
+    mism = int((x[match] != x_meas[match]).sum())
+    allowed = tol * int(match.sum())
     accept = mism <= allowed + 1e-12
     tr.honest = {"b": b, "x": bits_to_str(x),
-                 "theta": "".join(theta.tolist()),
-                 "mismatches": mism, "checked": int(checked.sum()),
+                 "theta": bases_to_str(theta),
+                 "mismatches": mism, "checked": int(match.sum()),
                  "accepted": bool(accept)}
     return tr
 

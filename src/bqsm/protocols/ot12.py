@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..bits import bits_to_str
+from ..bits import bases_to_str, bits_to_str
 from ..errors import InputError, check_cap
-from ..hashing import HashFamily, pad_substring
+from ..hashing import HashFamily, restriction_int
 from .channel import ChannelModel, honest_outcomes
 from .codes import LinearCode
 from .transcript import ProtocolTranscript
@@ -34,9 +34,9 @@ def run_ot12(c: int, channel: ChannelModel, receiver, n: int, ell: int,
     phi, _ = channel.effective()
     rng = np.random.default_rng(seed)
     tr = ProtocolTranscript(f"ot12_{direction}", seed, n)
-    theta = np.where(rng.integers(0, 2, size=n) == 0, "+", "x")
+    theta = rng.integers(0, 2, size=n) == 1     # True: basis x
     x = rng.integers(0, 2, size=n, dtype=np.uint8)
-    match = theta == ("+" if c == 0 else "x")
+    match = theta == (c != 0)
     if direction == "standard":
         # receiver measures everything in basis [+,x]_c
         x_rec = honest_outcomes(rng, x, match, phi)
@@ -47,17 +47,14 @@ def run_ot12(c: int, channel: ChannelModel, receiver, n: int, ell: int,
         x = honest_outcomes(rng, x_rec, match, phi)
     else:
         raise InputError(f"unknown direction {direction!r}")
-    idx0 = np.nonzero(theta == "+")[0]
-    idx1 = np.nonzero(theta == "x")[0]
+    idx0 = np.nonzero(~theta)[0]
+    idx1 = np.nonzero(theta)[0]
     fam = HashFamily(n, ell, "linear")
     m0 = fam.sample(rng)
     m1 = fam.sample(rng)
-    x_str = bits_to_str(x)
-    pad0 = pad_substring(x_str, idx0)
-    pad1 = pad_substring(x_str, idx1)
-    s0 = fam.eval(m0, int(pad0, 2))
-    s1 = fam.eval(m1, int(pad1, 2))
-    announce = {"theta": "".join(theta.tolist()),
+    s0 = fam.eval(m0, restriction_int(x, idx0))
+    s1 = fam.eval(m1, restriction_int(x, idx1))
+    announce = {"theta": bases_to_str(theta),
                 "f0": m0.to_hex(), "f1": m1.to_hex()}
     syn = None
     if code is not None:
@@ -74,15 +71,12 @@ def run_ot12(c: int, channel: ChannelModel, receiver, n: int, ell: int,
     rec_bits = x_rec[idx_c]
     decode_ok = True
     if code is not None and len(idx_c):
-        syn_c = syn[c]
-        rec_bits = code.decode_chunked(rec_bits, syn_c)
+        rec_bits = code.decode_chunked(rec_bits, syn[c])
         decode_ok = bool(np.array_equal(rec_bits, x[idx_c]))
     full = np.zeros(n, dtype=np.uint8)
-    full[idx_c] = x_rec[idx_c] if code is None else rec_bits
-    pad_c = pad_substring(bits_to_str(full), idx_c)
-    member_c = m0 if c == 0 else m1
-    y = fam.eval(member_c, int(pad_c, 2))
-    tr.honest = {"c": c, "x": x_str, "theta": announce["theta"],
+    full[idx_c] = rec_bits
+    y = fam.eval(m0 if c == 0 else m1, restriction_int(full, idx_c))
+    tr.honest = {"c": c, "x": bits_to_str(x), "theta": announce["theta"],
                  "s0": s0, "s1": s1, "y": y, "decode_ok": decode_ok,
                  "i0": idx0.tolist(), "i1": idx1.tolist()}
     return tr

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ..bits import bits_to_int, bits_to_str, int_to_str
+from ..bits import bases_to_str, bits_to_int, bits_to_str, int_to_str
 from ..cqstate import CqState
 from ..errors import InputError, check_cap
 from ..hashing import HashFamily
@@ -277,12 +277,12 @@ def run_bb84_rabin_ot(b: int, channel: ChannelModel, receiver, n: int,
     check_cap("honest-path", "n", n)
     tr = ProtocolTranscript("bb84_rabin_ot", seed, n)
     x = rng.integers(0, 2, size=n, dtype=np.uint8)
-    theta = np.where(rng.integers(0, 2, size=n) == 0, "+", "x")
+    theta = rng.integers(0, 2, size=n) == 1     # True: basis x
     # emissions are irrelevant to the honest receiver but recorded
     emitted_multi = rng.random(n) < eta
-    r_prime = "+" if rng.integers(2) == 0 else "x"
+    r_prime = int(rng.integers(2))
     x_meas = honest_outcomes(rng, x, theta == r_prime, phi)
-    r = "+" if rng.integers(2) == 0 else "x"
+    r = int(rng.integers(2))
     idx = np.nonzero(theta == r)[0]
     ell = len(idx)
     if ell == 0:
@@ -292,7 +292,7 @@ def run_bb84_rabin_ot(b: int, channel: ChannelModel, receiver, n: int,
     fam = HashFamily(ell, 1, "linear")
     member = fam.sample(rng)
     e = b ^ fam.eval(member, bits_to_int(x[idx]))
-    tr.say("S", "announce", {"r": r, "I": idx.tolist(),
+    tr.say("S", "announce", {"r": "+x"[r], "I": idx.tolist(),
                              "syn": syn.tolist(), "f": member.to_hex(),
                              "e": e})
     if r_prime == r:
@@ -303,8 +303,8 @@ def run_bb84_rabin_ot(b: int, channel: ChannelModel, receiver, n: int,
     else:
         a, y, decode_ok = 0, 0, None
     tr.honest = {"b": b, "x": bits_to_str(x),
-                 "theta": "".join(theta.tolist()), "r": r,
-                 "r_prime": r_prime, "a": a, "y": y,
+                 "theta": bases_to_str(theta), "r": "+x"[r],
+                 "r_prime": "+x"[r_prime], "a": a, "y": y,
                  "decode_ok": decode_ok,
                  "multi_emissions": int(emitted_multi.sum())}
     return tr
@@ -318,9 +318,9 @@ def _bb84_adversarial(b, channel, strategy, n, code, seed):
     rng = _rng(seed)
     tr = ProtocolTranscript("bb84_rabin_ot", seed, n, str(strategy))
     x = rng.integers(0, 2, size=n, dtype=np.uint8)
-    theta = np.where(rng.integers(0, 2, size=n) == 0, "+", "x")
+    theta = rng.integers(0, 2, size=n) == 1     # True: basis x
     leaked = rng.random(n) < eta
-    r = "+" if rng.integers(2) == 0 else "x"
+    r = int(rng.integers(2))
     idx = np.nonzero(theta == r)[0]
     ell = len(idx)
     syn = code.syndrome_chunked(x[idx]) if ell else np.array([], np.uint8)
@@ -336,7 +336,7 @@ def _bb84_adversarial(b, channel, strategy, n, code, seed):
         elif kept[i]:
             post.append(1.0 if theta[i] == r else 0.5)
         else:
-            table = t[i, "+x".index(theta[i])]
+            table = t[i, int(theta[i])]
             # sample the adversary's outcome for this qubit
             py = table[:, x[i]] / table[:, x[i]].sum()
             y_i = int(rng.choice(2, p=py))
@@ -346,7 +346,7 @@ def _bb84_adversarial(b, channel, strategy, n, code, seed):
     h_min = -sum(math.log2(p) for p in in_set) if in_set else 0.0
     budget = max(0.0, ell - strategy.memory_qubits(n) - len(syn))
     tr.honest = {"b": b, "x": bits_to_str(x),
-                 "theta": "".join(theta.tolist()), "r": r}
+                 "theta": bases_to_str(theta), "r": "+x"[r]}
     tr.adversary = {"leaked_positions": int(leaked.sum()),
                     "h_min_x_given_view": h_min,
                     "proof_budget": budget,

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from bqsm.bits import bits_to_int, bits_to_str
+from bqsm.bits import bases_to_str, bits_to_int, bits_to_str, parity_u64
 from bqsm.errors import CapacityError, InputError
 from bqsm.hashing import (ComposedFamily, HashFamily, HashMember, NDLF,
-                          _pair_histogram_uniform, compose_balanced,
-                          enumerate_ndlf, gf2_matvec_stream, is_two_balanced,
-                          pad_substring)
+                          _ROW_BLOCK_WORDS, _pair_histogram_uniform,
+                          compose_balanced, enumerate_ndlf, gf2_matvec_stream,
+                          is_two_balanced, restriction_int)
 
 
 class TestHashFamily:
@@ -137,6 +137,25 @@ class TestHashFamily:
         assert 0 <= member.offset < 8
 
 
+def _bits_to_str_loop(bits, chars="01"):
+    """Reference: one character per bit."""
+    return "".join(chars[1] if b else chars[0] for b in bits)
+
+
+def pad_substring_reference(x: str, index_set) -> str:
+    """Reference: x restricted to the sorted index set as text, zero-padded
+    back to the original length."""
+    idx = sorted(set(index_set))
+    if any(i < 0 or i >= len(x) for i in idx):
+        raise InputError("index outside the string")
+    kept = "".join(x[i] for i in idx)
+    return kept + "0" * (len(x) - len(kept))
+
+
+def _bit_array(text: str) -> np.ndarray:
+    return np.array([int(ch) for ch in text], dtype=np.uint8)
+
+
 class TestBitPacking:
     @given(st.lists(st.integers(0, 1), max_size=200))
     @example([])
@@ -144,25 +163,57 @@ class TestBitPacking:
     @example([1] + [0] * 63)
     @example([1, 0] * 32 + [1])
     def test_bits_to_int_matches_string_parse(self, bits):
-        assert bits_to_int(bits) == int(bits_to_str(bits) or "0", 2)
+        assert bits_to_int(bits) == int(_bits_to_str_loop(bits) or "0", 2)
         assert bits_to_int(np.array(bits, dtype=np.uint8)) \
             == bits_to_int(bits)
 
+    @given(st.lists(st.integers(0, 1), max_size=200))
+    @example([])
+    @example([1, 0, 1] * 21)
+    @example([0, 1] * 32)
+    @example([1] * 65)
+    def test_bits_to_str_matches_loop(self, bits):
+        want = _bits_to_str_loop(bits)
+        assert bits_to_str(bits) == want
+        assert bits_to_str(np.array(bits, np.int64) * -2) == want
+        for dtype in (bool, np.uint8, np.int64):
+            arr = np.array(bits, dtype=dtype)
+            assert bits_to_str(arr) == want
+            assert bases_to_str(arr.astype(bool)) \
+                == _bits_to_str_loop(bits, "+x")
+
 
 class TestPadSubstring:
+    """`restriction_int` on the cases of the former string helper, read as
+    ints, and against that helper as a reference."""
+
     def test_full_set(self):
-        assert pad_substring("1101", [0, 1, 2, 3]) == "1101"
+        assert restriction_int(_bit_array("1101"), [0, 1, 2, 3]) == 0b1101
 
     def test_empty_set(self):
-        assert pad_substring("1101", []) == "0000"
+        assert restriction_int(_bit_array("1101"), []) == 0b0000
 
     def test_partial(self):
-        assert pad_substring("1101", [0, 2]) == "1000"
-        assert pad_substring("1101", [1, 3]) == "1100"
+        assert restriction_int(_bit_array("1101"), [0, 2]) == 0b1000
+        assert restriction_int(_bit_array("1101"), [1, 3]) == 0b1100
 
     def test_out_of_range(self):
         with pytest.raises(InputError):
-            pad_substring("110", [3])
+            restriction_int(_bit_array("110"), [3])
+        with pytest.raises(InputError):
+            restriction_int(_bit_array("110"), [-1])
+
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=200),
+           st.lists(st.integers(0, 199), max_size=60))
+    @example([1] * 64, [63, 0, 0])
+    @example([1, 0] * 32 + [1], [64, 1, 2])
+    def test_matches_string_reference(self, bits, index_set):
+        index_set = [i % len(bits) for i in index_set]
+        want = int(pad_substring_reference(_bits_to_str_loop(bits),
+                                           index_set), 2)
+        assert restriction_int(np.array(bits, np.uint8), index_set) == want
+        assert restriction_int(np.array(bits, np.uint8),
+                               np.array(index_set, np.int64)) == want
 
 
 class TestNDLF:
@@ -256,7 +307,46 @@ def _edge_case(m, ell):
             rng.integers(0, 2, m, dtype=np.uint8))
 
 
+def _matvec_one_shot(seed, ell, x_bits):
+    """Reference: the whole l x words matrix in one draw, high parts then
+    low bits."""
+    words = (len(x_bits) + 63) // 64
+    padded = np.zeros(words * 64, dtype=np.uint8)
+    padded[:len(x_bits)] = x_bits
+    x_packed = np.frombuffer(bits_to_int(padded).to_bytes(words * 8, "big"),
+                             dtype=">u8").astype(np.uint64)
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 1 << 63, size=(ell, words), dtype=np.uint64)
+    rows <<= np.uint64(1)
+    rows |= rng.integers(0, 2, size=(ell, words), dtype=np.uint64)
+    rows &= x_packed
+    return parity_u64(np.bitwise_xor.reduce(rows, axis=1)).astype(np.uint8)
+
+
+@st.composite
+def _block_case(draw):
+    """(seed, ell, x) with m in {1, 63, 64, 65, 130} and ell spanning the
+    first row-block boundary of gf2_matvec_stream."""
+    m = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    step = _ROW_BLOCK_WORDS // ((m + 63) // 64)
+    ell = draw(st.integers(1, 3) | st.integers(step - 2, step + 2)
+               | st.integers(1, 2 * step + 1))
+    x = np.array(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)),
+                 np.uint8)
+    return draw(st.integers(0, 2 ** 32)), ell, x
+
+
 class TestStreamedMatvec:
+    @settings(max_examples=40, deadline=None)
+    @given(_block_case())
+    @example((3, 1, np.ones(1, np.uint8)))
+    @example((4, _ROW_BLOCK_WORDS + 1, np.ones(64, np.uint8)))
+    @example((5, _ROW_BLOCK_WORDS // 3 + 1, np.ones(130, np.uint8)))
+    def test_matches_one_shot_draw(self, case):
+        seed, ell, x = case
+        assert np.array_equal(gf2_matvec_stream(seed, ell, x),
+                              _matvec_one_shot(seed, ell, x))
+
     @given(_matvec_case())
     @example(_edge_case(63, 70))
     @example(_edge_case(64, 1))
