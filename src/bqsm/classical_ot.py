@@ -21,13 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .bits import parity, parity_u64
 from .entropy import (JointDistribution, conditional_renyi,
                       smooth_min_entropy, split_pointer)
 from .errors import CAPS, InputError, PromiseViolation, check_cap
-from .hashing import NDLF, HashFamily, enumerate_ndlf
+from .hashing import NDLF, HashFamily, enumerate_ndlf, fwht
 
 
 def _sign_vector(mask: int, ell: int) -> np.ndarray:
@@ -331,10 +330,9 @@ def reduce_ot_from_uot(n: int, ell: int, kappa: float,
     if not promise_ok and not force:
         raise PromiseViolation(
             f"H_2(X|Y) = {h2:.4f} below required {r_min}")
-    # Sylvester order: h[w, x] = (-1)^{w.x}, so h P_y h is W_y on (x0, x1)
-    h = hadamard(1 << channel.n)
-    spectra = h @ channel.table.reshape(-1, len(h), len(h)) @ h
-    dist = 0.5 * np.abs(spectra).sum() / len(h) ** 4
+    nx = 1 << channel.n
+    spectra = fwht(fwht(channel.table.reshape(-1, nx, nx), axis=1), axis=2)
+    dist = 0.5 * np.abs(spectra).sum() / nx ** 4
     target = 2.0 ** (-kappa) / (1 << (2 * ell + 1))
     return {
         "n": n, "ell": ell, "kappa": kappa,

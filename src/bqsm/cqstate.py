@@ -20,8 +20,10 @@ from .bits import hamming, int_to_str
 from .entropy import (Distribution, JointDistribution, hamming_ball_size,
                       smooth_min_entropy, renyi_entropy)
 from .errors import InputError, check_cap
-from .hashing import HashFamily
+from .hashing import HashFamily, fwht
 from .qstate import DensityOperator, batched_trace_norm, trace_norm
+
+_CLASS_CELLS = 1 << 16  # gathered class-block cells per chunk
 
 
 def _as_op(op) -> np.ndarray:
@@ -279,39 +281,39 @@ def pa_distance(state: CqState, family: HashFamily,
     2^l offsets when affine); see `HashFamily.row_space_classes`.
     """
     _check_family_domain(state, family)
-    groups = [(np.array([int(xv, 2) for xv in xs]),
-               np.asarray(ops) * ps[:, None, None])
-              for _, xs, ps, ops in _blocks_by_u(state)]
-    exact = _class_average(groups, family)
+    u_of = {uv: i for i, uv in enumerate(sorted(set(state.u), key=repr))}
+    stack = np.zeros((len(u_of), 1 << family.n, state.dim_e, state.dim_e),
+                     dtype=complex)
+    stack[[u_of[uv] for uv in state.u], [int(xv, 2) for xv in state.x]] = \
+        np.asarray(state.ops) * state.p[:, None, None]
+    exact = _class_average(stack, family)
     h_eps, _ = smooth_min_entropy(state.classical_joint(), epsilon_smooth)
     bound = 0.5 * 2.0 ** (-0.5 * (h_eps - state.q - family.ell)) \
         + epsilon_smooth
     return exact, bound
 
 
-def _class_average(groups, family: HashFamily) -> float:
-    """Family average of sum_u sum_z 1/2 ||B_z - T/2^l||_1 over u-blocks
-    (x ints, stack of p_x rho_x): B_z sums the stack over F(x) = z, T all
-    of it; the 2^l - 2^r zero blocks of a rank-r class add ||T/2^l||_1."""
+def _class_average(stack: np.ndarray, family: HashFamily) -> float:
+    """Family average of sum_u sum_z 1/2 ||B_z - T/2^l||_1 over a dense
+    (U, 2^n, d, d) stack of p_x rho_x: B_z sums the stack over F(x) = z,
+    T all of it; the 2^l - 2^r zero blocks of a rank-r class add
+    ||T/2^l||_1. With W(w) = sum_x (-1)^{w.x} p_x rho_x, a rank-r class
+    has B_z = 2^-r sum_v (-1)^{v.z} W(C^T v): W at the 2^r points of its
+    span, then one 2^r-point transform, in chunks of about `_CLASS_CELLS`
+    gathered cells."""
     n_out = 1 << family.ell
+    spectrum = fwht(stack, axis=1)
+    avg = spectrum[:, 0] / n_out
+    zero = batched_trace_norm(avg)
     total = 0.0
-    for r, table, count in family.row_space_classes():
-        rows = np.arange(len(table))
-        zero_blocks = len(table) * (n_out - (1 << r))
-        for xints, stack in groups:
-            avg = stack.sum(axis=0) / n_out
-            if stack.shape[-1] == 1:
-                outs = table[:, xints] + (rows << r)[:, None]
-                weights = np.broadcast_to(stack[:, 0, 0].real, outs.shape)
-                blocks = np.bincount(outs.ravel(), weights.ravel(),
-                                     len(table) << r)[:, None, None]
-            else:
-                blocks = np.zeros((len(table), 1 << r) + avg.shape, complex)
-                for xi, op in zip(xints, stack):
-                    blocks[rows, table[:, xi]] += op
-            total += 0.5 * count * (batched_trace_norm(blocks - avg)
-                                    + zero_blocks * batched_trace_norm(avg))
-    return total / family.size
+    for r, span, count in family.row_space_classes():
+        total += count * len(span) * (n_out - (1 << r)) * zero
+        step = max(1, _CLASS_CELLS // (avg.size << r))
+        for start in range(0, len(span), step):
+            blocks = fwht(spectrum[:, span[start:start + step]], axis=2)
+            total += count * batched_trace_norm(
+                blocks / (1 << r) - avg[:, None, None])
+    return 0.5 * total / family.size
 
 
 def pa_distance_slow(state: CqState, family: HashFamily,
@@ -351,9 +353,9 @@ def classical_lhl_distance(p_x: Distribution, family: HashFamily
     lens = {len(o) for o in p_x.outcomes}
     if len(lens) != 1 or lens.pop() != family.n:
         raise InputError("hash family domain does not match the alphabet")
-    exact = _class_average(
-        [(np.array([int(o, 2) for o in p_x.outcomes]),
-          p_x.mass[:, None, None])], family)
+    stack = np.zeros((1, 1 << family.n, 1, 1))
+    stack[0, [int(o, 2) for o in p_x.outcomes], 0, 0] = p_x.mass
+    exact = _class_average(stack, family)
     bound = 0.5 * 2.0 ** (-0.5 * (renyi_entropy(p_x, 2) - family.ell))
     return exact, bound
 

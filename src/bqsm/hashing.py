@@ -23,6 +23,19 @@ from .errors import InputError, check_cap
 _ROW_BLOCK_WORDS = 1 << 16  # gf2_matvec_stream draws rows in blocks this big
 
 
+def fwht(a: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Walsh-Hadamard transform along an axis of length 2^k, in Sylvester
+    order: out[w] = sum_x (-1)^{w.x} a[x], with w.x the parity of w & x.
+    One butterfly per bit b, each pairing x with x ^ 2^b."""
+    out = np.moveaxis(np.asarray(a), axis, 0)
+    shape = out.shape
+    for b in range(shape[0].bit_length() - 1):
+        pairs = out.reshape((-1, 2, 1 << b) + shape[1:])
+        out = np.stack([pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]],
+                       axis=1)
+    return np.moveaxis(out.reshape(shape), 0, axis)
+
+
 @dataclass(frozen=True)
 class HashMember:
     """One function of a family: l rows of n bits each, optional offset."""
@@ -156,34 +169,40 @@ class HashFamily:
         reduced-row-echelon basis of R and A injective, so its outputs are
         the canonical r-bit outputs C x relabelled (and offset if affine).
 
-        Yields (r, table, count) per rank r <= min(n, l), in slices of at
-        most 2^20 cells: table[i, x] = C x for the slice's i-th row space;
-        prod_{i<r} (2^l - 2^i) members share each, times 2^l if affine.
+        Yields (r, span, count) per rank r <= min(n, l): span[i, v] = C^T v
+        lists the i-th row space of rank r, with row j of C at bit r-1-j of
+        v (so the row at bit b is span[i, 2^b]); prod_{i<r} (2^l - 2^i)
+        members share each, times 2^l if affine.
         """
         self._check_size()
-        check_cap("hash-table", "classes(n,ell)*2^n",
-                  self.classes << self.n)
-        maps = [_echelon_maps(self.n, r)
-                for r in range(min(self.n, self.ell) + 1)]
-        step = max(1, (1 << 20) >> self.n)
-        for r, unit in enumerate(maps):
+        for r in range(min(self.n, self.ell) + 1):
             count = math.prod((1 << self.ell) - (1 << i) for i in range(r))
             count <<= self.ell if self.kind == "affine" else 0
-            for part in np.split(unit, range(step, len(unit), step)):
-                # C x is linear: double the table once per input bit b
-                table = np.zeros((len(part), 1), dtype=np.uint32)
-                for b in range(self.n):
-                    table = np.hstack([table, table ^ part[:, b, None]])
-                yield r, table, count
+            rows = _echelon_rows(self.n, r)
+            # C^T v is linear in v: double the span once per row, last first
+            span = np.zeros((len(rows), 1), dtype=np.uint32)
+            for i in range(r - 1, -1, -1):
+                span = np.hstack([span, span ^ rows[:, i, None]])
+            yield r, span, count
 
     def representatives(self) -> tuple[np.ndarray, np.ndarray]:
         """(table, weight): one member per row-space class, table[i, x] =
         C x read as an l-bit output, with the class's share count / size
         of the family (see `row_space_classes`)."""
-        parts = [(table, np.full(len(table), count / self.size))
-                 for _, table, count in self.row_space_classes()]
-        return (np.concatenate([t for t, _ in parts]),
-                np.concatenate([w for _, w in parts]))
+        self._check_size()
+        check_cap("hash-table", "classes(n,ell)*2^n",
+                  self.classes << self.n)
+        xs = np.arange(1 << self.n, dtype=np.uint32)
+        tables, weights = [], []
+        for r, span, count in self.row_space_classes():
+            # bit b of C x is the parity of x against the row at bit b
+            table = np.zeros((len(span), len(xs)), dtype=np.uint32)
+            for b in range(r):
+                table |= parity_u64(span[:, 1 << b, None] & xs
+                                    ).astype(np.uint32) << np.uint32(b)
+            tables.append(table)
+            weights.append(np.full(len(table), count / self.size))
+        return np.concatenate(tables), np.concatenate(weights)
 
     def is_two_universal(self) -> bool:
         """Exhaustive collision check Pr[F(x)=F(y)] <= 2^-l for all x != y."""
@@ -227,20 +246,21 @@ class HashFamily:
         return np.bincount(pair, minlength=1 << (2 * self.ell))
 
 
-def _echelon_maps(n: int, r: int) -> np.ndarray:
-    """C e_b for every r-dimensional subspace of GF(2)^n and input bit b,
-    shape (subspaces, n). C's row i leads at bit p_i (p_0 > p_1 > ...), is
-    zero at the other leading bits and free at the remaining bits below."""
+def _echelon_rows(n: int, r: int) -> np.ndarray:
+    """The reduced-row-echelon bases C of every r-dimensional subspace of
+    GF(2)^n as row masks, shape (subspaces, r). Row i leads at bit p_i
+    (p_0 > p_1 > ...), is zero at the other leading bits and free at the
+    remaining bits below."""
     out = []
     for lead in itertools.combinations(range(n - 1, -1, -1), r):
         free = [(i, b) for i, p in enumerate(lead) for b in range(p)
                 if b not in lead]
         fill = np.arange(1 << len(free), dtype=np.uint32)
-        unit = np.zeros((len(fill), n), dtype=np.uint32)
-        unit[:, list(lead)] = [1 << (r - 1 - i) for i in range(r)]
+        rows = np.zeros((len(fill), r), dtype=np.uint32)
+        rows[:] = [1 << p for p in lead]
         for g, (i, b) in enumerate(free):
-            unit[:, b] |= ((fill >> g) & 1) << (r - 1 - i)
-        out.append(unit)
+            rows[:, i] |= ((fill >> g) & 1) << b
+        out.append(rows)
     return np.concatenate(out)
 
 

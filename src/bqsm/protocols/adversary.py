@@ -225,7 +225,7 @@ def product_factors(n: int, strategy: AdversaryStrategy):
     in basis w, t[i, s, y, x] = P(y, x | sender basis s) = 1/2 |sum_k
     w[k, y] v_s[k, x]|^2, with s = 0 for '+' and 1 for 'x': the adversary's
     outcome y joint with the sender's outcome x on that pair. t is zero on
-    kept qubits, whose state is `security._kept_ops`'s instead.
+    kept qubits, which hold the sender's basis vector |x>_s instead.
     """
     plan = strategy.product_plan(n)
     kept = np.array([step[0] == "keep" for step in plan], dtype=bool)

@@ -15,7 +15,8 @@ import numpy as np
 from ..bits import bases_to_str, bits_to_int, bits_to_str, int_to_str
 from ..cqstate import CqState
 from ..errors import InputError, check_cap
-from ..hashing import HashFamily
+from ..hashing import HashFamily, fwht
+from ..qstate import batched_trace_norm
 from .adversary import (AdversaryStrategy, bell_pairwise_xor,
                         direct_blocks_dense, epr_blocks_dense,
                         product_factors, row_states,
@@ -176,33 +177,19 @@ def rabin_guess_probability(n: int, strategy: AdversaryStrategy,
     """Exact optimal probability of guessing the transmitted bit b from the
     adversary's complete view (announcements plus retained register).
 
-    Helstrom discrimination per classical block (r, y, f, e).
+    Helstrom discrimination per classical block (r, y, f): b is masked by
+    f(x) = a.x, so its two states differ by
+    W(a) = sum_x (-1)^{a.x} p_x rho_x, one Walsh-Hadamard transform per
+    block. The hash mask averages ||W(a)||_1 over every a, the xor mask
+    takes a = 1^n.
     """
-    from ..qstate import trace_norm
-
-    fam = HashFamily(n, 1, "linear")
-    members = [("xor", None)] if mask == "xor" else \
-        [(i, fam.member(i)) for i in range(fam.size)]
-    weight = 1.0 / len(members)
     advantage = 0.0
-    for r, y, p_ry, p_x, ops in rabin_exact_blocks(n, strategy):
-        if p_ry <= 0:
-            continue
-        for _, member in members:
-            # difference of the two masked states: b enters via e = b + f(x)
-            for e in (0, 1):
-                diff = None
-                for x in range(1 << n):
-                    if p_x[x] <= 0:
-                        continue
-                    fx = (bin(x).count("1") & 1) if member is None \
-                        else fam.eval(member, x)
-                    sign = 1.0 if (e ^ fx) == 0 else -1.0
-                    contrib = sign * 0.5 * weight * p_ry * p_x[x] * ops[x]
-                    diff = contrib if diff is None else diff + contrib
-                if diff is not None:
-                    advantage += trace_norm(diff)
-    return 0.5 + 0.5 * advantage
+    for _, _, p_ry, p_x, ops in rabin_exact_blocks(n, strategy):
+        spectrum = fwht(p_x[:, None, None] * ops)
+        if mask == "xor":
+            spectrum = spectrum[-1:]
+        advantage += p_ry * batched_trace_norm(spectrum) / len(spectrum)
+    return float(0.5 + 0.5 * advantage)
 
 
 def bell_xor_attack(n: int, seed: int = 0) -> dict:

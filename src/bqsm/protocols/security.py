@@ -19,8 +19,8 @@ from ..cqstate import pa_distance
 from ..entropy import JointDistribution, smooth_min_entropy, split_pointer
 from ..errors import InputError, check_cap
 from ..hashing import HashFamily
-from ..qstate import (SINGLE_QUBIT_BASES, batched_trace_norm,
-                      product_basis_matrix, rank1_trace_norm, trace_norm)
+from ..qstate import (SINGLE_QUBIT_BASES, product_basis_matrix,
+                      rank1_trace_norm, trace_norm)
 from ..uncertainty import event_from_distributions, genrel_epsilon
 from .adversary import (AdversaryStrategy, direct_blocks_dense,
                         epr_blocks_dense, product_factors, product_table,
@@ -275,8 +275,8 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
         raise InputError("1-2 OT audit expects a product strategy")
     check_cap("ot12-audit", "n", n)
     q = strategy.memory_qubits(n)
-    # (g0, g1, d, s0, s1, kept, kept) cells per (theta, y) block, with at
-    # most 2^{|I0| l} * 2^{|I1| l} representative pairs (g0, g1)
+    # a (theta, y) block holds (g0, g1, d, s0, s1, kept) masses, at most
+    # 2^{(n+2)*ell+q+1}: the cap bounds that with q bits to spare
     check_cap("ot12-block", "(n+2)*ell+2*q+1", (n + 2) * ell + 2 * q + 1)
     lam = lam if lam is not None else 0.1
     kept, t = product_factors(n, strategy)
@@ -305,7 +305,7 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
     eps_prime = 2.0 ** (-max(1.0, n / 4.0))
     split_floor = math.inf
     dist = 0.0
-    kap = _part_value(n, kept_idx)
+    kap, dim_k = _part_value(n, kept_idx), 1 << len(kept_idx)
     for theta, rows in per_theta:
         i0 = [i for i in range(n) if theta[i] == "+"]
         i1 = [i for i in range(n) if theta[i] == "x"]
@@ -313,7 +313,6 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
         # each representative's output on every x's I0 (I1) substring
         (tab0, wt0), (tab1, wt1) = reps[len(i0)], reps[len(i1)]
         hashed = ((tab0[:, x0_val], wt0), (tab1[:, x1_val], wt1))
-        ops = _kept_ops(theta, kept_idx)          # (dim_k, dim_k, dim_k)
         for m in rows:
             grid = np.zeros((1 << len(i0), 1 << len(i1)))
             grid[x0_val, x1_val] = m / m.sum()
@@ -321,7 +320,7 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
             if peak > 0:
                 split_floor = min(split_floor, -math.log2(peak))
             dist += _pointer_distance(m * 2.0 ** (-n), d_x1[x1_val], kap,
-                                      ops, *hashed, ell)
+                                      dim_k, *hashed, ell)
     links["splitting"] = split_floor - alpha / 2.0
     h_chain = alpha / 2.0 - (1.0 + ell) - math.log2(1.0 / eps_prime)
     bound = 0.5 * 2.0 ** (-0.5 * (h_chain - q - ell)) + eps_prime
@@ -335,13 +334,17 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
     }
 
 
-def _pointer_distance(w, dvec, kap, ops, side0, side1, ell) -> float:
+def _pointer_distance(w, dvec, kap, dim_k, side0, side1, ell) -> float:
     """One (theta, y) block's weighted sum over hash pairs (g0, g1) of
     sum_d 1/2 ||rho_{S0 S1 E, d} - unif . rho_{S_D E, d}||_1: w[x] is its
-    mass, dvec[x] the pointer, ops[kap[x]] the kept state, and side_i =
-    (h_i, weight_i) with h_i[g, x] hash g's output on x's I_i part."""
+    mass, dvec[x] the pointer, kap[x] < dim_k its kept value, and side_i =
+    (h_i, weight_i) with h_i[g, x] hash g's output on x's I_i part.
+
+    The kept states |kappa>_theta of one basis string are orthonormal, so
+    every block is diagonal in them and its trace norm is the l1 norm of
+    its (g0, g1, d, s0, s1, kappa) masses."""
     (h0, wt0), (h1, wt1) = side0, side1
-    s_out, dim_k = 1 << ell, len(ops)
+    s_out = 1 << ell
     r0, r1 = len(wt0), len(wt1)
     xs = np.nonzero(w > 0)[0]
     # one flat (g0, g1, d, s0, s1, kept value) cell per (x, g0, g1),
@@ -352,17 +355,16 @@ def _pointer_distance(w, dvec, kap, ops, side0, side1, ell) -> float:
             + h1[:, xs].T[:, None, :]) * dim_k + kap[xs, None, None]
     mass = w[xs, None, None] * wt0[:, None] * wt1
     acc = np.bincount(cell.ravel(), mass.ravel(),
-                      r0 * r1 * 2 * s_out * s_out * dim_k)
-    blocks = (acc.reshape(-1, dim_k) @ ops.reshape(dim_k, -1)
-              ).reshape(r0, r1, 2, s_out, s_out, dim_k, dim_k)
-    # sub axes: g0, g1, s0, s1, i, j; the S_{1-D} register is S1 when
+                      r0 * r1 * 2 * s_out * s_out * dim_k
+                      ).reshape(r0, r1, 2, s_out, s_out, dim_k)
+    # sub axes: g0, g1, s0, s1, kappa; the S_{1-D} register is S1 when
     # d = 0 (sum axis 3) and S0 when d = 1 (sum axis 2)
     total = 0.0
     for d, axis in ((0, 3), (1, 2)):
-        sub = blocks[:, :, d]
+        sub = acc[:, :, d]
         margin = sub.sum(axis=axis, keepdims=True) / s_out
-        total += batched_trace_norm(sub - margin)
-    return 0.5 * total
+        total += np.abs(sub - margin).sum()
+    return float(0.5 * total)
 
 
 def _part_value(n, idx) -> np.ndarray:
@@ -378,13 +380,3 @@ def _part_value(n, idx) -> np.ndarray:
 def _pad_index(n, idx) -> np.ndarray:
     """Packed value of (x restricted to idx, zero-padded to n bits)."""
     return _part_value(n, idx) << (n - len(idx))
-
-
-def _kept_ops(theta, kept_idx) -> np.ndarray:
-    """Stack of kept-register pure states |kappa>_theta, indexed by the
-    packed kept-bit value; real, as the sender's bases + and x are, so
-    the blocks take the cheaper real LAPACK path."""
-    cols = product_basis_matrix([theta[i] for i in kept_idx]).real
-    return np.einsum("ik,jk->kij", cols, cols)
-
-

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bits import int_to_str
 from .entropy import (JointDistribution, shannon_entropy, smooth_min_entropy)
@@ -361,6 +360,8 @@ def average_entropy_minimum(basis_labels, grid: int = 10000) -> dict:
     """One-sided certification of the single-qubit average entropic
     uncertainty bound: minimum over a Fibonacci grid of pure states of the
     average Shannon entropy across the bases, refined by Nelder-Mead."""
+    from scipy.optimize import minimize
+
     from .qstate import SINGLE_QUBIT_BASES
 
     mats = [SINGLE_QUBIT_BASES[lab] for lab in basis_labels]

@@ -130,6 +130,10 @@ class TestProcessInterface:
         # array of 175,788^2 cells is refused before any row is built
         (("splitting-reduction", "ell=2"), 2,
          "(classes(n,ell)*2^ell)^2=30901420944"),
+        # within the hash-family cap, each row-space class needs 2^r span
+        # cells, not 2^n
+        (("lhl-classical", "n=14", "ell=1"), 0, None),
+        (("lhl-classical", "n=10", "ell=2"), 0, None),
     ])
     def test_library_errors_exit_2_with_json(self, params, code, named,
                                              tmp_path):

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,8 +9,8 @@ from bqsm.bits import bases_to_str, bits_to_int, bits_to_str, parity_u64
 from bqsm.errors import CapacityError, InputError
 from bqsm.hashing import (ComposedFamily, HashFamily, HashMember, NDLF,
                           _ROW_BLOCK_WORDS, _pair_histogram_uniform,
-                          compose_balanced, enumerate_ndlf, gf2_matvec_stream,
-                          is_two_balanced, restriction_int)
+                          compose_balanced, enumerate_ndlf, fwht,
+                          gf2_matvec_stream, is_two_balanced, restriction_int)
 
 
 class TestHashFamily:
@@ -97,22 +100,31 @@ class TestHashFamily:
                               for r in range(min(n, ell) + 1))
                 for kind in ("linear", "affine"):
                     fam = HashFamily(n, ell, kind)
-                    if fam.size > 1 << 20 or classes << n > 1 << 26:
+                    if fam.size > 1 << 20:
                         with pytest.raises(CapacityError):
                             next(fam.row_space_classes())
                         continue
-                    seen = total = 0
-                    for r, table, count in fam.row_space_classes():
-                        assert table.shape[1] == 1 << n
-                        assert table.max(initial=0) < 1 << r
-                        seen += len(table)
-                        total += len(table) * count
+                    seen, total, spaces = 0, 0, []
+                    for r, span, count in fam.row_space_classes():
+                        # each row lists 2^r distinct elements of {0,1}^n,
+                        # closed under XOR: a subspace of dimension r
+                        assert span.shape[1] == 1 << r
+                        assert span.max(initial=0) < 1 << n
+                        elems = np.sort(span, axis=1)
+                        assert (np.diff(elems, axis=1) > 0).all()
+                        shifted = np.sort(span[:, :, None] ^ span[:, None, :],
+                                          axis=1)
+                        assert (shifted == elems[:, :, None]).all()
+                        spaces += [row.tobytes() for row in elems]
+                        seen += len(span)
+                        total += len(span) * count
                     assert (seen, total) == (classes, fam.size)
+                    assert len(set(spaces)) == classes
 
     def test_row_space_classes_group_members_by_kernel(self):
         # a member's row space is fixed by its kernel {x : F(x) = F(0)};
-        # each class must be one kernel, hold the members with that kernel,
-        # and take 2^r distinct canonical values
+        # each representative must be one kernel, weigh the share of members
+        # with that kernel, and take 2^n / |kernel| distinct values
         for n, ell, kind in ((3, 2, "linear"), (2, 3, "linear"),
                              (3, 3, "linear"), (2, 2, "affine"),
                              (3, 1, "affine")):
@@ -123,11 +135,57 @@ class TestHashFamily:
             for row in kernels:
                 members[row.tobytes()] = members.get(row.tobytes(), 0) + 1
             classes = {}
-            for r, canon, count in fam.row_space_classes():
-                for row in canon:
-                    assert len(set(row.tolist())) == 1 << r
-                    classes[(row == 0).tobytes()] = count
+            canon, weight = fam.representatives()
+            for row, w in zip(canon, weight):
+                kernel = row == 0
+                assert len(set(row.tolist())) * kernel.sum() == 1 << n
+                classes[kernel.tobytes()] = w * fam.size
             assert classes == members
+
+    def test_representatives_match_column_doubling(self):
+        # the tables of one echelon column map C e_b per input bit b,
+        # doubled once per bit, with shares as the class counts give them
+        def column_doubling(fam):
+            tables, weights = [], []
+            for r in range(min(fam.n, fam.ell) + 1):
+                for lead in itertools.combinations(
+                        range(fam.n - 1, -1, -1), r):
+                    free = [(i, b) for i, p in enumerate(lead)
+                            for b in range(p) if b not in lead]
+                    fill = np.arange(1 << len(free), dtype=np.uint32)
+                    unit = np.zeros((len(fill), fam.n), dtype=np.uint32)
+                    unit[:, list(lead)] = [1 << (r - 1 - i)
+                                           for i in range(r)]
+                    for g, (i, b) in enumerate(free):
+                        unit[:, b] |= ((fill >> g) & 1) << (r - 1 - i)
+                    table = np.zeros((len(unit), 1), dtype=np.uint32)
+                    for b in range(fam.n):
+                        table = np.hstack([table, table ^ unit[:, b, None]])
+                    count = math.prod((1 << fam.ell) - (1 << i)
+                                      for i in range(r))
+                    count <<= fam.ell if fam.kind == "affine" else 0
+                    tables.append(table)
+                    weights.append(np.full(len(table), count / fam.size))
+            return np.concatenate(tables), np.concatenate(weights)
+
+        for n, ell, kind in ((1, 1, "linear"), (4, 1, "linear"),
+                             (6, 2, "linear"), (5, 3, "affine"),
+                             (3, 4, "linear"), (7, 1, "affine"),
+                             (8, 2, "linear")):
+            fam = HashFamily(n, ell, kind)
+            got, want = fam.representatives(), column_doubling(fam)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_fwht_matches_hadamard_matrix(self):
+        from scipy.linalg import hadamard
+        rng = np.random.default_rng(3)
+        for k in range(6):
+            a = rng.normal(size=(3, 1 << k, 2))
+            want = np.einsum("wx,axb->awb", hadamard(1 << k), a)
+            assert np.abs(fwht(a, axis=1) - want).max() <= 1e-12
+        ints = rng.integers(-9, 9, size=(16, 2))
+        assert (fwht(ints) == hadamard(16) @ ints).all()
 
     def test_sample_beyond_index_range(self):
         fam = HashFamily(100, 3, "affine")

@@ -22,7 +22,15 @@ from bqsm.protocols import (bell_pairwise_xor, breitbart_strategy,
                             sender_security_distance, store_prefix)
 from bqsm.protocols.channel import PERFECT
 from bqsm.protocols.rabin import rabin_guess_probability
-from bqsm.qstate import SINGLE_QUBIT_BASES, random_density, trace_norm
+from bqsm.qstate import (SINGLE_QUBIT_BASES, product_basis_matrix,
+                         random_density, trace_norm)
+
+
+def _kept_ops(theta, kept_idx):
+    """Kept-register pure states |kappa>_theta as density matrices, indexed
+    by the packed kept-bit value."""
+    cols = product_basis_matrix([theta[i] for i in kept_idx]).real
+    return np.einsum("ik,jk->kij", cols, cols)
 
 
 def _epr_qubit_tables(plan_step, sender_basis):
@@ -62,7 +70,6 @@ def _epr_qubit_tables(plan_step, sender_basis):
 class TestEngineOracle:
     def test_product_factor_tables_from_first_principles(self):
         from bqsm.protocols.adversary import product_factors
-        from bqsm.protocols.security import _kept_ops
         for s, basis in enumerate("+x"):
             for x, _, p, red in _epr_qubit_tables(("keep",), basis):
                 assert p == pytest.approx(0.5)
@@ -136,7 +143,7 @@ class TestProductTableProperty:
                                               product_factors,
                                               product_table, row_states,
                                               sender_measurement_dense)
-        from bqsm.protocols.security import _kept_ops, _part_value
+        from bqsm.protocols.security import _part_value
         n, strategy = case
         kept, t = product_factors(n, strategy)
         kept_idx = np.nonzero(kept)[0].tolist()
@@ -318,7 +325,7 @@ class TestHashAverageOracles:
     def test_representative_pairs_match_member_pairs(self, k0, k1, ell, q,
                                                      seed):
         # a random pointer block over x = (x0, x1) with |I0| = k0 and
-        # |I1| = k1, kept states of dimension 2^q
+        # |I1| = k1, orthonormal kept states of dimension 2^q
         from bqsm.protocols.security import _pointer_distance
         rng = np.random.default_rng(seed)
         xs = np.arange(1 << (k0 + k1))
@@ -327,9 +334,8 @@ class TestHashAverageOracles:
         dvec = rng.integers(0, 2, 1 << k1)[x1]
         dim_k = 1 << q
         kap = rng.integers(0, dim_k, len(xs))
-        vecs = rng.normal(size=(dim_k, dim_k)) \
-            + 1j * rng.normal(size=(dim_k, dim_k))
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        vecs, _ = np.linalg.qr(rng.normal(size=(dim_k, dim_k))
+                               + 1j * rng.normal(size=(dim_k, dim_k)))
         ops = vecs[:, :, None] * vecs[:, None, :].conj()
 
         def reps(k, vals):
@@ -338,7 +344,7 @@ class TestHashAverageOracles:
             table, weight = HashFamily(k, ell).representatives()
             return table[:, vals], weight
 
-        got = _pointer_distance(w, dvec, kap, ops, reps(k0, x0),
+        got = _pointer_distance(w, dvec, kap, dim_k, reps(k0, x0),
                                 reps(k1, x1), ell)
 
         def members(k, vals):
@@ -359,6 +365,74 @@ class TestHashAverageOracles:
                 diff.reshape(-1, dim_k, dim_k))).sum()
         want = 0.5 * total / (len(o0) * len(o1))
         assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n, ell", [(4, 1), (4, 2), (5, 1), (5, 2),
+                                        (6, 1), (6, 2)])
+    def test_kept_register_l1_matches_eigvalsh(self, n, ell):
+        # the ot12 audit's (theta, y) blocks, built as in the audit, with
+        # the kept register as dim_k x dim_k blocks of |kappa>_theta and
+        # eigvalsh trace norms, against its l1 norms of the kept masses;
+        # four basis strings per strategy keep the eigvalsh side short
+        from bqsm.entropy import split_pointer
+        from bqsm.errors import CAPS
+        from bqsm.protocols.adversary import product_factors, product_table
+        from bqsm.protocols.security import _part_value, _pointer_distance
+
+        def eigvalsh_form(w, dvec, kap, ops, side0, side1):
+            (h0, wt0), (h1, wt1) = side0, side1
+            s_out, dim_k = 1 << ell, len(ops)
+            xs = np.nonzero(w > 0)[0]
+            pair = 2 * (len(wt1) * np.arange(len(wt0))[:, None]
+                        + np.arange(len(wt1)))
+            cell = (((pair + dvec[xs, None, None]) * s_out
+                     + h0[:, xs].T[:, :, None]) * s_out
+                    + h1[:, xs].T[:, None, :]) * dim_k + kap[xs, None, None]
+            mass = w[xs, None, None] * wt0[:, None] * wt1
+            acc = np.bincount(cell.ravel(), mass.ravel(),
+                              pair.size * 2 * s_out * s_out * dim_k)
+            blocks = (acc.reshape(-1, dim_k) @ ops.reshape(dim_k, -1)
+                      ).reshape(pair.shape + (2, s_out, s_out, dim_k, dim_k))
+            total = 0.0
+            for d, axis in ((0, 3), (1, 2)):
+                sub = blocks[:, :, d]
+                diff = sub - sub.sum(axis=axis, keepdims=True) / s_out
+                total += np.abs(np.linalg.eigvalsh(
+                    diff.reshape(-1, dim_k, dim_k))).sum()
+            return 0.5 * total
+
+        reps = [HashFamily(k, ell).representatives() if k
+                else (np.zeros((1, 1), np.uint32), np.ones(1))
+                for k in range(n + 1)]
+        thetas = list(itertools.product("+x", repeat=n))
+        rng = np.random.default_rng([n, ell])
+        for strategy in [store_prefix(q) for q in range(n + 1)] \
+                + [breitbart_strategy()]:
+            q = strategy.memory_qubits(n)
+            if (n + 2) * ell + 2 * q + 1 > CAPS["ot12-block"]:
+                continue
+            kept, t = product_factors(n, strategy)
+            kept_idx = np.nonzero(kept)[0].tolist()
+            kap = _part_value(n, kept_idx)
+            tables = [product_table(kept, t, theta) for theta in thetas]
+            alpha = -math.log2(max(row.max() / row.sum() for tab in tables
+                                   for row in tab if row.sum() > 0))
+            for i in rng.choice(len(thetas), 4, replace=False):
+                theta = thetas[i]
+                i0 = [j for j in range(n) if theta[j] == "+"]
+                i1 = [j for j in range(n) if theta[j] == "x"]
+                x0_val, x1_val = _part_value(n, i0), _part_value(n, i1)
+                (tab0, wt0), (tab1, wt1) = reps[len(i0)], reps[len(i1)]
+                hashed = ((tab0[:, x0_val], wt0), (tab1[:, x1_val], wt1))
+                ops = _kept_ops(theta, kept_idx)
+                for m in tables[i][tables[i].sum(axis=1) > 0]:
+                    grid = np.zeros((1 << len(i0), 1 << len(i1)))
+                    grid[x0_val, x1_val] = m / m.sum()
+                    dvec = split_pointer(grid, alpha)[0][x1_val]
+                    w = m * 2.0 ** (-n)
+                    got = _pointer_distance(w, dvec, kap, len(ops), *hashed,
+                                            ell)
+                    want = eigvalsh_form(w, dvec, kap, ops, *hashed)
+                    assert got == pytest.approx(want, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(hst.integers(1, 3), hst.integers(1, 2), hst.integers(1, 4),
@@ -424,6 +498,34 @@ class TestHashAverageOracles:
 
 
 class TestRabinSecurityOracle:
+    @pytest.mark.parametrize("mask", ["xor", "hash"])
+    def test_guess_probability_matches_member_loop(self, mask):
+        # Helstrom per (r, y, f, e) block, summed member by member and x by
+        # x, against the one-transform-per-block form
+        from bqsm.protocols.rabin import rabin_exact_blocks
+        for n in (1, 2, 3, 4):
+            strategies = [store_prefix(0), store_prefix(1), full_memory(),
+                          breitbart_strategy()]
+            # the pairwise Bell measurement needs an even n
+            for strategy in strategies + [bell_pairwise_xor()] * (1 - n % 2):
+                fam = HashFamily(n, 1, "linear")
+                members = [None] if mask == "xor" else list(fam.members())
+                terms = []
+                for _, _, p_ry, p_x, ops in rabin_exact_blocks(n, strategy):
+                    for member in members:
+                        for e in (0, 1):
+                            diff = np.zeros_like(ops[0])
+                            for x in np.nonzero(p_x > 0)[0]:
+                                fx = bin(int(x)).count("1") & 1 \
+                                    if member is None \
+                                    else fam.eval(member, int(x))
+                                diff = diff + (-1) ** (e ^ fx) * 0.5 \
+                                    * p_ry * p_x[x] * ops[x] / len(members)
+                            terms.append(trace_norm(diff))
+                want = 0.5 + 0.5 * math.fsum(terms)
+                got = rabin_guess_probability(n, strategy, mask)
+                assert got == pytest.approx(want, abs=1e-12)
+
     def test_masked_bit_distance_direct(self):
         # delta(rho_{B,view|E}, rho_B (x) rho_{view|E}) assembled directly
         # over b in {0,1} with e = b xor f(x) in the view, against the
