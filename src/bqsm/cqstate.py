@@ -23,7 +23,7 @@ from .errors import InputError, check_cap
 from .hashing import HashFamily, fwht
 from .qstate import DensityOperator, batched_trace_norm, trace_norm
 
-_CLASS_CELLS = 1 << 16  # gathered class-block cells per chunk
+_CLASS_CELLS = 1 << 12  # cells per chunk: 64 KiB at most, reused heap memory
 
 
 def _as_op(op) -> np.ndarray:
@@ -350,14 +350,12 @@ def classical_lhl_distance(p_x: Distribution, family: HashFamily
     1/2 2^{-(H_2(X) - l)/2}. Averaged as in `pa_distance`, over row-space
     classes, each rank-r class weighted by its prod_{i<r} (2^l - 2^i)
     members (times 2^l offsets when affine), with one u-block and no E."""
-    lens = {len(o) for o in p_x.outcomes}
-    if len(lens) != 1 or lens.pop() != family.n:
+    if {len(o) for o in p_x.outcomes} != {family.n}:
         raise InputError("hash family domain does not match the alphabet")
     stack = np.zeros((1, 1 << family.n, 1, 1))
     stack[0, [int(o, 2) for o in p_x.outcomes], 0, 0] = p_x.mass
-    exact = _class_average(stack, family)
     bound = 0.5 * 2.0 ** (-0.5 * (renyi_entropy(p_x, 2) - family.ell))
-    return exact, bound
+    return _class_average(stack, family), bound
 
 
 def guess_within_ball(state: CqState, strategy, delta: float,

@@ -26,14 +26,16 @@ _ROW_BLOCK_WORDS = 1 << 16  # gf2_matvec_stream draws rows in blocks this big
 def fwht(a: np.ndarray, axis: int = 0) -> np.ndarray:
     """Walsh-Hadamard transform along an axis of length 2^k, in Sylvester
     order: out[w] = sum_x (-1)^{w.x} a[x], with w.x the parity of w & x.
-    One butterfly per bit b, each pairing x with x ^ 2^b."""
-    out = np.moveaxis(np.asarray(a), axis, 0)
-    shape = out.shape
-    for b in range(shape[0].bit_length() - 1):
-        pairs = out.reshape((-1, 2, 1 << b) + shape[1:])
-        out = np.stack([pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]],
-                       axis=1)
-    return np.moveaxis(out.reshape(shape), 0, axis)
+    One in-place butterfly per bit b, pairing x with x ^ 2^b, on a copy of
+    a and a half-size buffer: no allocation per butterfly."""
+    out = np.moveaxis(np.asarray(a), axis, 0).copy()
+    half = np.empty_like(out[:len(out) // 2])
+    for b in range(len(out).bit_length() - 1):
+        lo, hi = out.reshape((-1, 2, 1 << b) + out.shape[1:]).swapaxes(0, 1)
+        diff = np.subtract(lo, hi, out=half.reshape(lo.shape))
+        lo += hi
+        hi[...] = diff
+    return np.moveaxis(out, 0, axis)
 
 
 @dataclass(frozen=True)

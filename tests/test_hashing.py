@@ -182,8 +182,13 @@ class TestHashFamily:
         rng = np.random.default_rng(3)
         for k in range(6):
             a = rng.normal(size=(3, 1 << k, 2))
+            kept = a.copy()
             want = np.einsum("wx,axb->awb", hadamard(1 << k), a)
             assert np.abs(fwht(a, axis=1) - want).max() <= 1e-12
+            assert (a == kept).all()  # the butterflies run on a copy
+            strided = a[:, :, ::-1].transpose(2, 0, 1)  # not contiguous
+            assert np.abs(fwht(strided, axis=2)
+                          - want[:, :, ::-1].transpose(2, 0, 1)).max() <= 1e-12
         ints = rng.integers(-9, 9, size=(16, 2))
         assert (fwht(ints) == hadamard(16) @ ints).all()
 
