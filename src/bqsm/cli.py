@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import CapacityError, InputError, PromiseViolation
+from .errors import CapacityError, InputError, PromiseViolation, check_cap
 
 FLOAT_FMT = "{:.12g}"
 
@@ -493,19 +493,18 @@ def _exp_hmin_accumulated(seed, n=200, lam=0.1, trials=10000):
 
 
 def _exp_azuma(seed, c=1.0, n=1000, lam=0.1, trials=100000):
-    # fair +-1 walk, vectorized across trials; the generic per-step
-    # harness entropy.azuma_empirical covers arbitrary sources
+    # fair +-c walk, vectorized across the trials of each row block, so
+    # memory does not grow with trials; the generic per-step harness
+    # entropy.azuma_empirical covers arbitrary sources
     from .entropy import azuma_tail
+    from .markov import row_blocks
+    check_cap("walk-steps", "n", n)
     rng = np.random.default_rng(seed)
     bound = azuma_tail(c, n, lam)
     hits = 0
-    chunk = max(1, min(trials, (1 << 24) // n))
-    done = 0
-    while done < trials:
-        count = min(chunk, trials - done)
-        steps = rng.choice([-c, c], size=(count, n))
+    for rows in row_blocks(trials, n):
+        steps = rng.choice([-c, c], size=(rows, n))
         hits += int((steps.sum(axis=1) >= lam * n).sum())
-        done += count
     est = hits / trials
     stderr = math.sqrt(max(est * (1 - est), 1.0 / trials) / trials)
     rec = {"estimate": est, "bound": bound, "stderr": stderr,

@@ -10,7 +10,6 @@ into per-block trace norms and stay exact at desk scale.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -109,28 +108,6 @@ class CqState:
         for i, (pv, o) in enumerate(zip(self.p, self.ops)):
             out[i * de:(i + 1) * de, i * de:(i + 1) * de] = pv * o
         return DensityOperator(out, check=False)
-
-    def to_json(self) -> str:
-        ops = []
-        for o in self.ops:
-            flat = o.reshape(-1)
-            inter = np.empty(2 * flat.size)
-            inter[0::2] = flat.real
-            inter[1::2] = flat.imag
-            ops.append(inter.tolist())
-        return json.dumps({"x": list(self.x), "u": list(map(str, self.u)),
-                           "p": self.p.tolist(), "ops": ops, "q": self.q})
-
-    @staticmethod
-    def from_json(text: str) -> "CqState":
-        obj = json.loads(text)
-        d = 2 ** obj["q"]
-        ops = []
-        for inter in obj["ops"]:
-            inter = np.asarray(inter)
-            ops.append((inter[0::2] + 1j * inter[1::2]).reshape(d, d))
-        return CqState(tuple(obj["x"]), np.asarray(obj["p"]), tuple(ops),
-                       obj["q"], tuple(obj["u"]))
 
     @staticmethod
     def classical(dist: Distribution) -> "CqState":

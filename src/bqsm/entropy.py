@@ -12,7 +12,6 @@ produces.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -60,16 +59,6 @@ class Distribution:
 
     def support_size(self) -> int:
         return int((self.mass > 0).sum())
-
-    def to_json(self) -> str:
-        return json.dumps({"alphabet": list(map(str, self.outcomes)),
-                           "mass": self.mass.tolist(),
-                           "normalized": self.normalized})
-
-    @staticmethod
-    def from_json(text: str) -> "Distribution":
-        obj = json.loads(text)
-        return Distribution(obj["alphabet"], obj["mass"], obj["normalized"])
 
     @staticmethod
     def uniform(outcomes) -> "Distribution":

@@ -39,6 +39,7 @@ CAPS = {
     "ot12-block": 24,              # log2 bound on its (theta, y) block cells
     "rate-check": 10,              # sifted symbols of the exact QKD check
     "coset-table": 24,             # block length of coset-leader decoding
+    "walk-steps": 1 << 16,         # steps n of one Monte-Carlo walk row
 }
 
 

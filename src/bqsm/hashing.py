@@ -51,15 +51,6 @@ class HashMember:
             return body
         return body + "+" + format(self.offset, "x")
 
-    @staticmethod
-    def from_hex(text: str) -> "HashMember":
-        if "+" in text:
-            body, off = text.split("+")
-            offset = int(off, 16)
-        else:
-            body, offset = text, None
-        return HashMember(tuple(int(r, 16) for r in body.split(",")), offset)
-
 
 class HashFamily:
     """GF(2) hash family from n bits to l bits.

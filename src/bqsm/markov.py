@@ -16,7 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import binary_entropy, bisect, shannon_entropy
-from .errors import PromiseViolation
+from .errors import CAPS, PromiseViolation, check_cap
+
+# Cells (trials x steps) a Monte-Carlo walk draws at once: 512 KiB of
+# float64. The walk-steps cap keeps n within it, so one row always fits.
+# numpy's Generator fills an array in C order from one stream and keeps its
+# buffered 32-bit half across calls, so drawing the trial axis in row blocks
+# consumes the stream exactly as one (trials, n) draw does.
+BLOCK_CELLS = CAPS["walk-steps"]
+
+
+def row_blocks(trials: int, n: int):
+    """Yield the row counts of consecutive (rows, n) draws that cover
+    `trials` rows, each within BLOCK_CELLS cells (one row if n exceeds it)."""
+    rows = max(1, BLOCK_CELLS // n)
+    for start in range(0, trials, rows):
+        yield min(rows, trials - start)
 
 
 @dataclass
@@ -69,7 +84,9 @@ def _solve_spread(k: int, target: float) -> float:
 def accumulated_min_entropy_markov(model: MarkovSource, n: int, lam: float,
                                    trials: int, seed: int) -> dict:
     """Estimate Pr[P(Z^n) >= 2^{-(h-2lam)n}] across vectorized trials and
-    compare to the concentration bound."""
+    compare to the concentration bound. Trials run in row blocks, so memory
+    does not grow with `trials`."""
+    check_cap("walk-steps", "n", n)
     h = model.entropy_floor
     k = model.alphabet_size
     eps = math.exp(-(lam ** 2) * n / (32.0 * math.log2(k / lam) ** 2))
@@ -82,15 +99,18 @@ def accumulated_min_entropy_markov(model: MarkovSource, n: int, lam: float,
     log_trans[nz] = np.log2(model.transition[nz])
     cum_init = np.cumsum(model.initial)
     cum_trans = np.cumsum(model.transition, axis=1)
-    u = rng.random((trials, n))
-    state = (u[:, 0][:, None] > cum_init[None, :]).sum(axis=1)
-    logp = log_init[state].copy()
-    for i in range(1, n):
-        nxt = (u[:, i][:, None] > cum_trans[state]).sum(axis=1)
-        logp += log_trans[state, nxt]
-        state = nxt
     threshold = -(h - 2 * lam) * n
-    est = float((logp >= threshold).mean())
+    hits = 0
+    for rows in row_blocks(trials, n):
+        u = rng.random((rows, n))
+        state = (u[:, 0][:, None] > cum_init[None, :]).sum(axis=1)
+        logp = log_init[state].copy()
+        for i in range(1, n):
+            nxt = (u[:, i][:, None] > cum_trans[state]).sum(axis=1)
+            logp += log_trans[state, nxt]
+            state = nxt
+        hits += int((logp >= threshold).sum())
+    est = hits / trials
     stderr = math.sqrt(max(est * (1 - est), 1.0 / trials) / trials)
     return {"estimate": est, "bound": eps, "stderr": stderr, "n": n,
             "lam": lam, "trials": trials,

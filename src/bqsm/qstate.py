@@ -10,7 +10,6 @@ Qubit indices are 0-based. Single-qubit basis labels: "+" (computational),
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -77,18 +76,6 @@ class PureState:
                            ) -> bool:
         return abs(abs(self.overlap(other)) - 1.0) <= tol
 
-    def to_json(self) -> str:
-        inter = np.empty(2 * self.dim)
-        inter[0::2] = self.amplitudes.real
-        inter[1::2] = self.amplitudes.imag
-        return json.dumps({"n": self.n, "amplitudes": inter.tolist()})
-
-    @staticmethod
-    def from_json(text: str) -> "PureState":
-        obj = json.loads(text)
-        inter = np.asarray(obj["amplitudes"])
-        return PureState(inter[0::2] + 1j * inter[1::2])
-
 
 class DensityOperator:
     """Hermitian, trace-one, positive semidefinite matrix.
@@ -138,20 +125,6 @@ class DensityOperator:
         """Max-entropy H_0: log2 of the rank."""
         ev = self.eigenvalues()
         return math.log2(max(int((ev > tol).sum()), 1))
-
-    def to_json(self) -> str:
-        flat = self.matrix.reshape(-1)
-        inter = np.empty(2 * flat.size)
-        inter[0::2] = flat.real
-        inter[1::2] = flat.imag
-        return json.dumps({"dim": self.dim, "matrix": inter.tolist()})
-
-    @staticmethod
-    def from_json(text: str) -> "DensityOperator":
-        obj = json.loads(text)
-        d = obj["dim"]
-        inter = np.asarray(obj["matrix"])
-        return DensityOperator((inter[0::2] + 1j * inter[1::2]).reshape(d, d))
 
     @staticmethod
     def maximally_mixed(n: int) -> "DensityOperator":

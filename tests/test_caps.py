@@ -9,10 +9,12 @@ import pytest
 
 from bqsm.classical_ot import (OtOutputDistribution, min_pointer_epsilon_lp,
                                one_of_n_condition)
+from bqsm.cli import _exp_azuma
 from bqsm.cqstate import CqState, pa_distance_slow
 from bqsm.entropy import JointDistribution
 from bqsm.errors import CAPS, CapacityError
 from bqsm.hashing import HashFamily, enumerate_ndlf
+from bqsm.markov import accumulated_min_entropy_markov, floor_hugging_chain
 from bqsm.protocols import (LinearCode, binding_experiment,
                             sender_security_distance, store_prefix)
 from bqsm.protocols.adversary import epr_blocks_dense
@@ -71,6 +73,8 @@ PAST_CAP = {
         "m=11"),
     "coset-table": (lambda: LinearCode(np.eye(1, 25, dtype=np.uint8)),
                     "length=25"),
+    "walk-steps": (lambda: accumulated_min_entropy_markov(
+        floor_hugging_chain(4, 1.0), 65537, 0.1, 1, 0), "n=65537"),
 }
 
 
@@ -99,6 +103,10 @@ def test_hash_table_labels_name_spec_parameters():
     _assert_refused("hash-table",
                     lambda: HashFamily(14, 1).representatives(),
                     "classes(n,ell)*2^n=268435456")
+
+
+def test_walk_steps_bound_the_azuma_walk():
+    _assert_refused("walk-steps", lambda: _exp_azuma(0, n=65537), "n=65537")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bqsm"

@@ -134,6 +134,10 @@ class TestProcessInterface:
         # cells, not 2^n
         (("lhl-classical", "n=14", "ell=1"), 0, None),
         (("lhl-classical", "n=10", "ell=2"), 0, None),
+        # a Monte-Carlo walk row must fit one row block; trials cost no
+        # memory
+        (("azuma-empirical", "n=20000000000"), 2, "n=20000000000"),
+        (("hmin-accumulated", "n=100000", "trials=1000000"), 2, "n=100000"),
     ])
     def test_library_errors_exit_2_with_json(self, params, code, named,
                                              tmp_path):

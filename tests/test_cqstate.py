@@ -379,15 +379,6 @@ class TestCqStateHousekeeping:
         want[0, 0] = want[3, 3] = 0.5
         assert np.allclose(rho.matrix, want)
 
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(9)
-        st = random_cq(rng, 4, 1, [int_to_str(v, 2) for v in range(4)])
-        st2 = CqState.from_json(st.to_json())
-        assert st2.x == st.x and st2.q == st.q
-        assert np.allclose(st2.p, st.p)
-        for a, b in zip(st2.ops, st.ops):
-            assert np.allclose(a, b)
-
     def test_validation(self):
         with pytest.raises(InputError):
             CqState(("0", "0"), [0.5, 0.5],

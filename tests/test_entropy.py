@@ -390,12 +390,6 @@ class TestDistributions:
         with pytest.raises(InputError):
             j.conditional(1, "b")
 
-    def test_json_round_trip(self):
-        d = Distribution(["00", "01"], [0.25, 0.75])
-        d2 = Distribution.from_json(d.to_json())
-        assert d2.outcomes == d.outcomes
-        assert np.allclose(d2.mass, d.mass)
-
     def test_mass_is_float64(self):
         # ints and Fractions are stored as float64 mass; a negative entry,
         # whatever its type, is still refused

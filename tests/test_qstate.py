@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as hst
 
 from bqsm.errors import CapacityError, InputError
 from bqsm.qstate import (Basis, BasisSet, DensityOperator, PureState,
-                         bell_basis, bell_measure, haar_state, haar_unitary,
+                         bell_basis, bell_measure, haar_unitary,
                          measure, measure_per_qubit, measure_per_qubit_pure,
                          operator_norm, partial_trace, prepare_bb84,
                          product_basis, projector_onto, random_density,
@@ -60,14 +60,6 @@ class TestTypes:
         b = PureState([SQ2 * 1j, SQ2 * 1j])
         assert a.equals_up_to_phase(b)
         assert not a.equals_up_to_phase(PureState([1, 0]))
-
-    def test_json_round_trip(self):
-        st = haar_state(3, np.random.default_rng(0))
-        st2 = PureState.from_json(st.to_json())
-        assert np.allclose(st.amplitudes, st2.amplitudes)
-        rho = random_density(2, np.random.default_rng(1))
-        rho2 = DensityOperator.from_json(rho.to_json())
-        assert np.allclose(rho.matrix, rho2.matrix)
 
 
 class TestPrepareAndMeasure:

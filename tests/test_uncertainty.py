@@ -1,9 +1,14 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
+from bqsm import markov
 from bqsm.bits import int_to_str
+from bqsm.cli import _exp_azuma
 from bqsm.entropy import shannon_entropy
 from bqsm.errors import InputError, PromiseViolation
 from bqsm.markov import (MarkovSource, accumulated_min_entropy_markov,
@@ -211,6 +216,46 @@ class TestAccumulatedMinEntropy:
         b = accumulated_min_entropy_markov(chain, 40, 0.15, 3000, 3)
         spread = 3 * (a["stderr"] + b["stderr"])
         assert abs(a["estimate"] - b["estimate"]) <= spread + 0.05
+
+
+class TestBlockedWalks:
+    """Both Monte-Carlo walks draw their (trials, n) randomness in row
+    blocks of `markov.BLOCK_CELLS` cells. Any block budget consumes the
+    generator stream as one (trials, n) draw does, so the records are equal,
+    not close."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=hst.integers(0, 2 ** 32 - 1), c=hst.floats(0.25, 4.0),
+           n=hst.integers(1, 30), trials=hst.integers(1, 40),
+           lam=hst.sampled_from([0.05, 0.2]))
+    @example(seed=7, c=0.37, n=13, trials=29, lam=0.05)
+    def test_blocked_walks_equal_the_one_shot_draw(self, seed, c, n, trials,
+                                                    lam):
+        model = floor_hugging_chain(3, 0.8)
+
+        def records(budget):
+            with mock.patch.object(markov, "BLOCK_CELLS", budget):
+                return (_exp_azuma(seed, c, n, lam, trials)["rows"][0],
+                        accumulated_min_entropy_markov(model, n, lam, trials,
+                                                       seed))
+
+        one_shot = records(trials * n)
+        for budget in (1, max(1, n - 1), n + 1, 7 * n):
+            assert records(budget) == one_shot
+
+    def test_walk_memory_does_not_grow_with_trials(self):
+        # drawn whole, the (trials, n) arrays take 160 MB and 16 MB
+        model = floor_hugging_chain(4, 1.0)
+        for call in (lambda: _exp_azuma(7, trials=20000),
+                     lambda: accumulated_min_entropy_markov(
+                         model, 200, 0.1, 10000, 7)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2 ** 20
 
 
 class TestSecondRelation:
