@@ -10,13 +10,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CAPS, InputError
+
+# Cells (rows x columns) a row-blocked draw holds at once: 512 KiB of
+# float64 or uint64. The walk-steps cap keeps a Monte-Carlo walk row within
+# it. numpy's Generator fills an array in C order from one stream and keeps
+# its buffered 32-bit half across calls, so drawing the row axis in blocks
+# consumes the stream exactly as one (rows, n) draw does.
+BLOCK_CELLS = CAPS["walk-steps"]
 
 _BYTE_PARITY = np.array(
     [bin(v).count("1") & 1 for v in range(256)], dtype=np.uint8
 )
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 _BASES = bytes.maketrans(b"\0\1", b"+x")
+
+
+def row_blocks(rows: int, n: int):
+    """Yield the row counts of consecutive (count, n) draws that cover
+    `rows` rows, each within BLOCK_CELLS cells (one row if n exceeds it)."""
+    step = max(1, BLOCK_CELLS // n)
+    for start in range(0, rows, step):
+        yield min(step, rows - start)
 
 
 def bits_to_str(bits) -> str:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .errors import CapacityError, InputError, PromiseViolation, check_cap
+from .errors import (CapacityError, InputError, PromiseViolation, check_cap,
+                     check_count)
 
 FLOAT_FMT = "{:.12g}"
 
@@ -391,6 +392,7 @@ def _exp_splitting_reduction(seed, n=9, ell=1, kappa=0.25,
 def _exp_rabin_honest(seed, n=24, runs=10000):
     from .protocols import run_rabin_ot
     from .protocols.channel import PERFECT
+    check_count("runs", runs)
     received, correct = 0, 0
     for t in range(runs):
         tr = run_rabin_ot(t & 1, PERFECT, "honest", n, seed + t)
@@ -496,8 +498,10 @@ def _exp_azuma(seed, c=1.0, n=1000, lam=0.1, trials=100000):
     # fair +-c walk, vectorized across the trials of each row block, so
     # memory does not grow with trials; the generic per-step harness
     # entropy.azuma_empirical covers arbitrary sources
+    from .bits import row_blocks
     from .entropy import azuma_tail
-    from .markov import row_blocks
+    check_count("n", n)
+    check_count("trials", trials)
     check_cap("walk-steps", "n", n)
     rng = np.random.default_rng(seed)
     bound = azuma_tail(c, n, lam)

@@ -43,6 +43,13 @@ CAPS = {
 }
 
 
+def check_count(param: str, value: int, least: int = 1):
+    """Refuse a count `value` of `param` below `least`."""
+    if value < least:
+        raise InputError(f"{param}={value} is below {least}; "
+                         f"raise {param}")
+
+
 def check_cap(name: str, param: str, value: int):
     """Refuse `value` of `param` above the cap `CAPS[name]`."""
     cap = CAPS[name]

@@ -17,10 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import bits_to_int, parity, parity_u64
+from .bits import bits_to_int, parity, parity_u64, row_blocks
 from .errors import InputError, check_cap
-
-_ROW_BLOCK_WORDS = 1 << 16  # gf2_matvec_stream draws rows in blocks this big
 
 
 def fwht(a: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -391,28 +389,48 @@ def compose_balanced(beta, fam0: HashFamily, fam1: HashFamily,
 
 
 def gf2_matvec_stream(seed: int, ell: int, x_bits: np.ndarray) -> np.ndarray:
-    """Apply a seeded random l x m GF(2) matrix to a long bit vector without
-    materializing the matrix; rows are drawn as packed 64-bit words.
+    """Apply a seeded random l x m GF(2) matrix H to a long bit vector
+    without materializing the matrix; rows are drawn as packed 64-bit words.
 
-    Stream order: the seeded generator gives all l*words 63-bit high parts
-    row-major, then all l*words low bits. Row blocks of about
-    `_ROW_BLOCK_WORDS` words keep it with two generators: the seeded one for
-    the high parts, a copy advanced past them for the low bits."""
-    words = (len(x_bits) + 63) // 64
-    x_packed = np.zeros(words * 8, dtype=np.uint8)
-    x_packed[:(len(x_bits) + 7) // 8] = np.packbits(x_bits)
+    x_bits is one vector of shape (m,), giving H.x of shape (l,), or k
+    vectors as the columns of an (m, k) array, giving H.X of shape (l, k)
+    from one draw of H.
+
+    Stream order is that of one `Generator.integers` draw of all l*words
+    63-bit high parts, row-major, then one of all l*words low bits. Both
+    are read from the bit generator's raw 64-bit words:
+    - high: Lemire's method makes `integers(0, 2^63)` equal `raw >> 1`, so
+      a word shifted left by one is `raw & ~1`;
+    - low: `integers(0, 2)` reads 32-bit halves of raw words, low half
+      first, and each bit is `half >> 31`.
+    Rows come in `row_blocks` of at most BLOCK_CELLS words, from the seeded
+    generator for the high parts and a copy advanced past them for the low
+    bits. A block of an odd number of cells leaves the second half of its
+    last low word unread; it is carried into the next block, as the
+    Generator's buffered half would be."""
+    m = len(x_bits)
+    x_cols = np.asarray(x_bits, dtype=np.uint8).reshape(m, -1).T
+    words = (m + 63) // 64
+    x_packed = np.zeros((len(x_cols), words * 8), dtype=np.uint8)
+    x_packed[:, :(m + 7) // 8] = np.packbits(x_cols, axis=1)
     x_packed = x_packed.view(">u8").astype(np.uint64)
-    high = np.random.default_rng(seed)
-    low = np.random.Generator(
-        copy.deepcopy(high.bit_generator).advance(ell * words))
-    step = max(1, _ROW_BLOCK_WORDS // words)
-    acc = np.empty(ell, dtype=np.uint64)
-    for start in range(0, ell, step):
-        size = (min(step, ell - start), words)
-        rows = high.integers(0, 1 << 63, size=size, dtype=np.uint64)
-        rows <<= np.uint64(1)
-        rows |= low.integers(0, 2, size=size, dtype=np.uint64)
-        rows &= x_packed
+    high = np.random.default_rng(seed).bit_generator
+    low = copy.deepcopy(high).advance(ell * words)
+    acc = np.empty((len(x_cols), ell), dtype=np.uint64)
+    spare = np.empty(0, dtype="<u4")  # unread high half of a low word
+    start = 0
+    for count in row_blocks(ell, words):
+        cells = count * words
+        rows = high.random_raw(cells).reshape(count, words)
+        rows &= ~np.uint64(1)
+        raw = low.random_raw((cells - len(spare) + 1) // 2)
+        halves = np.concatenate(
+            (spare, raw.astype("<u8", copy=False).view("<u4")))
+        rows |= (halves[:cells] >> 31).reshape(count, words)
+        spare = halves[cells:]
         # parity is linear: XOR the words of each row, then one parity each
-        acc[start:start + size[0]] = np.bitwise_xor.reduce(rows, axis=1)
-    return parity_u64(acc).astype(np.uint8)
+        for col, x in zip(acc, x_packed):
+            col[start:start + count] = np.bitwise_xor.reduce(rows & x, axis=1)
+        start += count
+    out = parity_u64(acc).astype(np.uint8).T
+    return out if np.ndim(x_bits) == 2 else out[:, 0]

@@ -15,23 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bits import row_blocks
 from .entropy import binary_entropy, bisect, shannon_entropy
-from .errors import CAPS, PromiseViolation, check_cap
-
-# Cells (trials x steps) a Monte-Carlo walk draws at once: 512 KiB of
-# float64. The walk-steps cap keeps n within it, so one row always fits.
-# numpy's Generator fills an array in C order from one stream and keeps its
-# buffered 32-bit half across calls, so drawing the trial axis in row blocks
-# consumes the stream exactly as one (trials, n) draw does.
-BLOCK_CELLS = CAPS["walk-steps"]
-
-
-def row_blocks(trials: int, n: int):
-    """Yield the row counts of consecutive (rows, n) draws that cover
-    `trials` rows, each within BLOCK_CELLS cells (one row if n exceeds it)."""
-    rows = max(1, BLOCK_CELLS // n)
-    for start in range(0, trials, rows):
-        yield min(rows, trials - start)
+from .errors import PromiseViolation, check_cap, check_count
 
 
 @dataclass
@@ -86,6 +72,8 @@ def accumulated_min_entropy_markov(model: MarkovSource, n: int, lam: float,
     """Estimate Pr[P(Z^n) >= 2^{-(h-2lam)n}] across vectorized trials and
     compare to the concentration bound. Trials run in row blocks, so memory
     does not grow with `trials`."""
+    check_count("n", n)
+    check_count("trials", trials)
     check_cap("walk-steps", "n", n)
     h = model.entropy_floor
     k = model.alphabet_size

@@ -16,7 +16,7 @@ import numpy as np
 from .bits import bits_to_str, int_to_str
 from .cqstate import CqState, pa_distance
 from .entropy import binary_entropy, inverse_binary_entropy
-from .errors import InputError, check_cap
+from .errors import InputError, check_cap, check_count
 from .hashing import HashFamily, gf2_matvec_stream
 from .protocols.channel import honest_outcomes
 from .protocols.codes import LinearCode
@@ -85,7 +85,8 @@ def overall_bound_mc(d: int, samples: int, seed: int
 
     The outcome amplitudes of a fixed state in a Haar-random basis are a
     uniformly random unit vector, so each sample is one normalised
-    complex-Gaussian draw of length d."""
+    complex-Gaussian draw of length d. The stderr needs two samples."""
+    check_count("samples", samples, 2)
     rng = np.random.default_rng(seed)
     vals = np.empty(samples)
     batch = max(1, min(samples, 20000))
@@ -114,6 +115,7 @@ def key_length(config: QkdConfig, sifted: int) -> int:
 def run_qkd(config: QkdConfig, seed: int) -> dict:
     """Honest execution of the one-way protocol; returns sifted strings,
     syndrome, final keys and a transcript-style record."""
+    check_count("symbols", config.symbols)
     check_cap("honest-path", "symbols", config.symbols)
     rng = np.random.default_rng(seed)
     labels = ALPHABETS[config.alphabet]
@@ -145,9 +147,11 @@ def run_qkd(config: QkdConfig, seed: int) -> dict:
         return record
     record["refused"] = False
     hash_seed = int(rng.integers(1 << 62))
-    key_a = gf2_matvec_stream(hash_seed, ell, xs)
-    key_b = key_a if record["reconciled"] \
-        else gf2_matvec_stream(hash_seed, ell, x_hat)
+    if record["reconciled"]:
+        key_a = key_b = gf2_matvec_stream(hash_seed, ell, xs)
+    else:  # one draw of the matrix hashes both strings
+        key_a, key_b = gf2_matvec_stream(
+            hash_seed, ell, np.stack([xs, x_hat], axis=1)).T
     record["keys_equal"] = bool(np.array_equal(key_a, key_b))
     record["key_a"] = bits_to_str(key_a)
     return record

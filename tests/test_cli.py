@@ -138,6 +138,21 @@ class TestProcessInterface:
         # memory
         (("azuma-empirical", "n=20000000000"), 2, "n=20000000000"),
         (("hmin-accumulated", "n=100000", "trials=1000000"), 2, "n=100000"),
+        # counts below their least meaningful value are refused by name
+        (("qkd-run", "symbols=0"), 2, "symbols=0"),
+        (("qkd-run", "symbols=-4"), 2, "symbols=-4"),
+        (("rabin-honest", "runs=0"), 2, "runs=0"),
+        (("rabin-honest", "runs=-1"), 2, "runs=-1"),
+        (("azuma-empirical", "trials=0"), 2, "trials=0"),
+        (("azuma-empirical", "n=0"), 2, "n=0"),
+        (("azuma-empirical", "n=-5"), 2, "n=-5"),
+        (("hmin-accumulated", "trials=0"), 2, "trials=0"),
+        (("hmin-accumulated", "n=0"), 2, "n=0"),
+        (("hmin-accumulated", "n=-5"), 2, "n=-5"),
+        # the ddof=1 stderr needs two samples
+        (("hd-mc", "samples=0"), 2, "samples=0"),
+        (("hd-mc", "samples=1"), 2, "samples=1"),
+        (("hd-mc", "samples=-3"), 2, "samples=-3"),
     ])
     def test_library_errors_exit_2_with_json(self, params, code, named,
                                              tmp_path):

@@ -1,16 +1,21 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bqsm.bits import bases_to_str, bits_to_int, bits_to_str, parity_u64
+from bqsm import qkd
+from bqsm.bits import (BLOCK_CELLS, bases_to_str, bits_to_int, bits_to_str,
+                       parity_u64)
 from bqsm.errors import CapacityError, InputError
 from bqsm.hashing import (ComposedFamily, HashFamily, HashMember, NDLF,
-                          _ROW_BLOCK_WORDS, _pair_histogram_uniform,
+                          _pair_histogram_uniform,
                           compose_balanced, enumerate_ndlf, fwht,
                           gf2_matvec_stream, is_two_balanced, restriction_int)
+from bqsm.protocols.codes import hamming_7_4
+from bqsm.qkd import QkdConfig, run_qkd
 
 
 class TestHashFamily:
@@ -385,7 +390,7 @@ def _block_case(draw):
     """(seed, ell, x) with m in {1, 63, 64, 65, 130} and ell spanning the
     first row-block boundary of gf2_matvec_stream."""
     m = draw(st.sampled_from([1, 63, 64, 65, 130]))
-    step = _ROW_BLOCK_WORDS // ((m + 63) // 64)
+    step = BLOCK_CELLS // ((m + 63) // 64)
     ell = draw(st.integers(1, 3) | st.integers(step - 2, step + 2)
                | st.integers(1, 2 * step + 1))
     x = np.array(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)),
@@ -393,16 +398,41 @@ def _block_case(draw):
     return draw(st.integers(0, 2 ** 32)), ell, x
 
 
+@st.composite
+def _stacked_case(draw):
+    """(seed, ell, X): a _block_case vector and up to two more vectors of
+    its length as the columns of an (m, k) array."""
+    seed, ell, x = draw(_block_case())
+    bits = st.lists(st.integers(0, 1), min_size=len(x), max_size=len(x))
+    more = [np.array(draw(bits), np.uint8)
+            for _ in range(draw(st.integers(0, 2)))]
+    return seed, ell, np.stack([x] + more, axis=1)
+
+
 class TestStreamedMatvec:
     @settings(max_examples=40, deadline=None)
     @given(_block_case())
     @example((3, 1, np.ones(1, np.uint8)))
-    @example((4, _ROW_BLOCK_WORDS + 1, np.ones(64, np.uint8)))
-    @example((5, _ROW_BLOCK_WORDS // 3 + 1, np.ones(130, np.uint8)))
+    @example((4, BLOCK_CELLS + 1, np.ones(64, np.uint8)))
+    @example((5, BLOCK_CELLS // 3 + 1, np.ones(130, np.uint8)))
     def test_matches_one_shot_draw(self, case):
         seed, ell, x = case
         assert np.array_equal(gf2_matvec_stream(seed, ell, x),
                               _matvec_one_shot(seed, ell, x))
+
+    @settings(max_examples=20, deadline=None)
+    @given(_stacked_case())
+    @example((5, BLOCK_CELLS // 3 + 1,
+              np.stack([np.ones(130, np.uint8),
+                        np.arange(130, dtype=np.uint8) & 1], axis=1)))
+    def test_stacked_columns_match_single_draws(self, case):
+        # H.X from one draw of H: column j is H.x_j, however the rows block
+        seed, ell, xs = case
+        out = gf2_matvec_stream(seed, ell, xs)
+        assert out.dtype == np.uint8 and out.shape == (ell, xs.shape[1])
+        for x, col in zip(xs.T, out.T):
+            assert np.array_equal(col, gf2_matvec_stream(seed, ell, x))
+            assert np.array_equal(col, _matvec_one_shot(seed, ell, x))
 
     @given(_matvec_case())
     @example(_edge_case(63, 70))
@@ -425,6 +455,33 @@ class TestStreamedMatvec:
         for i in np.nonzero(a)[0]:
             want ^= f(unit[i])
         assert np.array_equal(fa, want)
+
+    def test_unreconciled_qkd_keys_match_one_shot_draws(self):
+        # Bob's corrected string differs from Alice's, so one draw of the
+        # matrix hashes both, and each key is that matrix times one string
+        cfg = QkdConfig(alphabet="six-state", p=0.03, symbols=3000,
+                        code=hamming_7_4(0.03))
+        calls = []
+
+        def spy(seed, ell, xs):
+            calls.append((seed, ell, xs))
+            return gf2_matvec_stream(seed, ell, xs)
+
+        with mock.patch.object(qkd, "gf2_matvec_stream", spy):
+            rec = run_qkd(cfg, 0)
+        assert not rec["reconciled"] and rec["key_length"] > 0
+        (seed, ell, xs), = calls
+        assert ell == rec["key_length"] and xs.shape == (rec["sifted"], 2)
+        # column 0 is Alice's sifted string, redrawn as run_qkd draws it
+        rng = np.random.default_rng(0)
+        theta_a, theta_b = rng.integers(0, 3, (2, 3000))
+        x = rng.integers(0, 2, 3000, dtype=np.uint8)
+        assert np.array_equal(xs[:, 0], x[theta_a == theta_b])
+        key_a = _matvec_one_shot(seed, ell, xs[:, 0])
+        key_b = _matvec_one_shot(seed, ell, xs[:, 1])
+        assert rec["key_a"] == bits_to_str(key_a)
+        assert not np.array_equal(key_a, key_b)
+        assert rec["keys_equal"] is False
 
     def test_deterministic_and_linear(self):
         x = np.random.default_rng(0).integers(0, 2, 300, dtype=np.uint8)

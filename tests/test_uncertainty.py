@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hst
 
-from bqsm import markov
+from bqsm import bits
 from bqsm.bits import int_to_str
 from bqsm.cli import _exp_azuma
 from bqsm.entropy import shannon_entropy
@@ -220,7 +220,7 @@ class TestAccumulatedMinEntropy:
 
 class TestBlockedWalks:
     """Both Monte-Carlo walks draw their (trials, n) randomness in row
-    blocks of `markov.BLOCK_CELLS` cells. Any block budget consumes the
+    blocks of `bits.BLOCK_CELLS` cells. Any block budget consumes the
     generator stream as one (trials, n) draw does, so the records are equal,
     not close."""
 
@@ -234,14 +234,19 @@ class TestBlockedWalks:
         model = floor_hugging_chain(3, 0.8)
 
         def records(budget):
-            with mock.patch.object(markov, "BLOCK_CELLS", budget):
-                return (_exp_azuma(seed, c, n, lam, trials)["rows"][0],
-                        accumulated_min_entropy_markov(model, n, lam, trials,
-                                                       seed))
+            with mock.patch.object(bits, "BLOCK_CELLS", budget):
+                blocks = len(list(bits.row_blocks(trials, n)))
+                return blocks, (
+                    _exp_azuma(seed, c, n, lam, trials)["rows"][0],
+                    accumulated_min_entropy_markov(model, n, lam, trials,
+                                                   seed))
 
-        one_shot = records(trials * n)
-        for budget in (1, max(1, n - 1), n + 1, 7 * n):
-            assert records(budget) == one_shot
+        blocks, one_shot = records(trials * n)
+        assert blocks == 1
+        # one row per block: the budget really splits the draw
+        assert records(1) == (trials, one_shot)
+        for budget in (max(1, n - 1), n + 1, 7 * n):
+            assert records(budget)[1] == one_shot
 
     def test_walk_memory_does_not_grow_with_trials(self):
         # drawn whole, the (trials, n) arrays take 160 MB and 16 MB
