@@ -1,16 +1,16 @@
 """Bit-string helpers shared across modules.
 
-Conventions: a bit-string of length n is either a str of '0'/'1', a numpy
-uint8 array, or a packed int. Index 0 of the array corresponds to the
-leftmost character and to the most significant bit of the packed int, so
-``int(s, 2)`` and these helpers agree.
+Conventions: inside the library a bit-string of length n is a packed int
+or a numpy bit array, with index 0 of the array the most significant bit
+of the packed int. Its '0'/'1' text (index 0 leftmost) is built only here,
+for transcripts and CLI records.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CAPS, InputError
+from .errors import CAPS
 
 # Cells (rows x columns) a row-blocked draw holds at once: 512 KiB of
 # float64 or uint64. The walk-steps cap keeps a Monte-Carlo walk row within
@@ -50,10 +50,6 @@ def bits_to_int(bits) -> int:
     return int.from_bytes(np.packbits(b).tobytes(), "big") >> (-len(b) % 8)
 
 
-def int_to_str(v: int, n: int) -> str:
-    return format(v, "0{}b".format(n))
-
-
 def parity(v: int) -> int:
     """Parity of the set bits of a non-negative int."""
     return bin(v).count("1") & 1
@@ -65,7 +61,6 @@ def parity_u64(a: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(_BYTE_PARITY[b], axis=-1)
 
 
-def hamming(a: str, b: str) -> int:
-    if len(a) != len(b):
-        raise InputError("length mismatch")
-    return sum(x != y for x, y in zip(a, b))
+def hamming(a: int, b: int) -> int:
+    """Hamming distance of two packed bit-strings."""
+    return bin(a ^ b).count("1")

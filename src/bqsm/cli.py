@@ -66,12 +66,14 @@ def _fmt(v):
 
 def _exp_uncertainty_two_basis(seed, n=6, trials=1000,
                                max_set: int | None = None):
-    from .bits import int_to_str
     from .qstate import haar_state
     from .uncertainty import (max_prob_relation, min_entropy_sum_relation,
                               two_basis_relation)
+    check_count("n", n)
+    check_count("trials", trials)
+    max_set = 1 << n if max_set is None else max_set
+    check_count("max_set", max_set, most=1 << n)
     rows, violations = [], 0
-    max_set = max_set or (1 << n)
     for t in range(trials):
         state_seed = [seed, t, 0]
         set_seed = [seed, t, 1]
@@ -79,10 +81,8 @@ def _exp_uncertainty_two_basis(seed, n=6, trials=1000,
         rng = np.random.default_rng(set_seed)
         k1 = int(rng.integers(1, max_set + 1))
         k2 = int(rng.integers(1, max_set + 1))
-        lp = [int_to_str(v, n) for v in rng.choice(1 << n, k1,
-                                                   replace=False)]
-        lt = [int_to_str(v, n) for v in rng.choice(1 << n, k2,
-                                                   replace=False)]
+        lp = rng.choice(1 << n, k1, replace=False)
+        lt = rng.choice(1 << n, k2, replace=False)
         reps = [two_basis_relation(st, lp, lt),
                 *max_prob_relation(st), min_entropy_sum_relation(st)]
         for rep in reps:
@@ -97,8 +97,7 @@ def _exp_uncertainty_tight_cases(seed, n_max=8):
                               two_basis_relation)
     rows, violations = [], 0
     for n in range(2, n_max + 1):
-        rep = two_basis_relation(hadamard_invariant_state(n),
-                                 ["0" * n], ["0" * n])
+        rep = two_basis_relation(hadamard_invariant_state(n), [0], [0])
         ok = abs(rep.slack) <= 1e-9
         violations += not ok
         rows.append(dict(case="invariant", **rep.row()))
@@ -125,9 +124,9 @@ def _exp_second_relation(seed, n=6, lam=0.12, trials=40, alphabet="bb84"):
 
 
 def _exp_uncertainty_multi_mub(seed, n=4, trials=500):
-    from .bits import int_to_str
     from .qstate import haar_state, standard_basis_set
     from .uncertainty import multi_mub_relation
+    check_count("trials", trials)
     bs = standard_basis_set("six-state", n)
     rows, violations = [], 0
     for t in range(trials):
@@ -136,8 +135,7 @@ def _exp_uncertainty_multi_mub(seed, n=4, trials=500):
         sets = []
         for _ in range(3):
             k = int(rng.integers(1, (1 << n) + 1))
-            sets.append([int_to_str(v, n)
-                         for v in rng.choice(1 << n, k, replace=False)])
+            sets.append(rng.choice(1 << n, k, replace=False))
         rep = multi_mub_relation(st.density(), bs, sets)
         violations += not rep.holds
         rows.append(dict(trial=t, **rep.row()))
@@ -221,14 +219,13 @@ def _exp_lhl_classical(seed, n=4, ell=1, distributions=20):
     from .cqstate import classical_lhl_distance
     from .entropy import Distribution
     from .hashing import HashFamily
-    from .bits import int_to_str
     fam = HashFamily(n, ell, "linear")
-    labels = [int_to_str(v, n) for v in range(1 << n)]
     rows, violations = [], 0
     for t in range(distributions):
         rng = np.random.default_rng([seed, t])
         mass = _structured_mass(rng, 1 << n, t)
-        ex, bd = classical_lhl_distance(Distribution(labels, mass), fam)
+        ex, bd = classical_lhl_distance(Distribution(range(1 << n), mass),
+                                        fam)
         violations += ex > bd + 1e-9
         rows.append({"trial": t, "exact": ex, "bound": bd,
                      "slack": bd - ex})
@@ -266,7 +263,7 @@ def _exp_pa_quantum(seed, n=4, q=1, strategy="store_prefix", ell=1):
         "measure_fixed": lambda: measure_fixed(
             ["+" if i % 2 == 0 else "x" for i in range(n)]),
         "breitbart": lambda: breitbart_strategy()})()
-    state = rabin_cq_state(n, strat.memory_qubits(n),
+    state = rabin_cq_state(strat.memory_qubits(n),
                            rabin_exact_blocks(n, strat))
     exact, bound = pa_distance(state, HashFamily(n, ell, "linear"), 0.0)
     ok = exact <= bound + 1e-9
@@ -411,6 +408,7 @@ def _exp_rabin_honest(seed, n=24, runs=10000):
 def _exp_ot12_honest(seed, n=24, runs=2000):
     from .protocols import run_ot12
     from .protocols.channel import PERFECT
+    check_count("runs", runs)
     bad = 0
     for t in range(runs):
         tr = run_ot12(t & 1, PERFECT, "honest", n, 1, seed + t)
@@ -423,6 +421,8 @@ def _exp_ot12_honest(seed, n=24, runs=2000):
 def _exp_commit_honest(seed, n=30, runs=2000):
     from .protocols import run_commitment
     from .protocols.channel import PERFECT
+    check_count("n", n)
+    check_count("runs", runs)
     bad = sum(not run_commitment(t & 1, PERFECT, "honest", n,
                                  seed + t).honest["accepted"]
               for t in range(runs))

@@ -1,11 +1,12 @@
 """Classical-quantum hybrid states, quantum conditional min-entropy, and
 exact privacy-amplification security distances.
 
-A CqState pairs a classical random variable X (bit-string labels, with an
-optional extra classical register U) with per-outcome conditional density
-operators on a q-qubit register E. Everything assembled here is
-block-diagonal over the classical registers, so trace distances decompose
-into per-block trace norms and stay exact at desk scale.
+A CqState pairs a classical random variable X (n-bit strings as packed
+ints, index 0 the most significant bit, with an optional extra classical
+register U) with per-outcome conditional density operators on a q-qubit
+register E. Everything assembled here is block-diagonal over the classical
+registers, so trace distances decompose into per-block trace norms and
+stay exact at desk scale.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import hamming, int_to_str
+from .bits import hamming
 from .entropy import (Distribution, JointDistribution, hamming_ball_size,
                       smooth_min_entropy, renyi_entropy)
 from .errors import InputError, check_cap
@@ -36,8 +37,9 @@ class CqState:
     """Classical register(s) with per-outcome conditional quantum states.
 
     Entry i carries classical value (x[i], u[i]) with probability p[i] and
-    conditional operator ops[i] on 2^q dimensions. u is free-form side
-    information ("" when absent). (x, u) pairs must be unique.
+    conditional operator ops[i] on 2^q dimensions. x[i] is a packed int;
+    u is free-form side information ("" when absent). (x, u) pairs must be
+    unique.
     """
 
     x: tuple
@@ -69,15 +71,6 @@ class CqState:
     @property
     def dim_e(self) -> int:
         return 2 ** self.q
-
-    def validate_operators(self, tol: float = 1e-9):
-        for o in self.ops:
-            if np.abs(o - o.conj().T).max() > tol:
-                raise InputError("conditional operator not Hermitian")
-            if abs(np.trace(o).real - 1.0) > tol:
-                raise InputError("conditional operator trace != 1")
-            if np.linalg.eigvalsh(o).min() < -tol:
-                raise InputError("conditional operator not PSD")
 
     def classical_joint(self) -> JointDistribution:
         """P_{XU} as an X x U joint distribution."""
@@ -202,29 +195,34 @@ def qmin_entropy(state: CqState) -> tuple[float, float]:
 # privacy amplification
 # ---------------------------------------------------------------------------
 
-def _check_family_domain(state: CqState, family: HashFamily):
-    lens = {len(xv) for xv in state.x}
-    if len(lens) != 1 or lens.pop() != family.n:
-        raise InputError("hash family domain does not match X labels")
+def _domain_index(xs, family: HashFamily) -> np.ndarray:
+    """The packed X values as an index array; refused unless every x is an
+    int with 0 <= x < 2^n for the family's n."""
+    idx = np.arange(xs.start, xs.stop, xs.step) if isinstance(xs, range) \
+        else np.asarray(xs)
+    if idx.dtype.kind not in "iu" or idx.min() < 0 \
+            or idx.max() >> family.n:
+        raise InputError("hash family domain does not match X values")
+    return idx
 
 
 def pa_output_state(state: CqState, family: HashFamily) -> CqState:
     """Exact hashed state over ((F(X), F), U) x E, averaging over the whole
     family (capacity-capped)."""
-    _check_family_domain(state, family)
+    _domain_index(state.x, family)
     de = state.dim_e
     acc: dict = {}
     weight = 1.0 / family.size
     for idx, member in enumerate(family.members()):
         for xv, uv, pv, op in zip(state.x, state.u, state.p, state.ops):
-            z = family.eval(member, int(xv, 2))
-            key = (int_to_str(z, family.ell), (idx, uv))
+            key = (family.eval(member, xv), (idx, uv))
             if key not in acc:
                 acc[key] = [0.0, np.zeros((de, de), dtype=complex)]
             acc[key][0] += weight * pv
             acc[key][1] += weight * pv * op
     xs, us, ps, ops = [], [], [], []
-    for (zv, uv), (pv, block) in sorted(acc.items(), key=lambda kv: repr(kv[0])):
+    for (zv, uv), (pv, block) in sorted(
+            acc.items(), key=lambda kv: (kv[0][0], repr(kv[0][1]))):
         xs.append(zv)
         us.append(uv)
         ps.append(pv)
@@ -257,11 +255,11 @@ def pa_distance(state: CqState, family: HashFamily,
     blocks, and one class stands for prod_{i<r} (2^l - 2^i) members (times
     2^l offsets when affine); see `HashFamily.row_space_classes`.
     """
-    _check_family_domain(state, family)
+    x_idx = _domain_index(state.x, family)
     u_of = {uv: i for i, uv in enumerate(sorted(set(state.u), key=repr))}
     stack = np.zeros((len(u_of), 1 << family.n, state.dim_e, state.dim_e),
                      dtype=complex)
-    stack[[u_of[uv] for uv in state.u], [int(xv, 2) for xv in state.x]] = \
+    stack[[u_of[uv] for uv in state.u], x_idx] = \
         np.asarray(state.ops) * state.p[:, None, None]
     exact = _class_average(stack, family)
     h_eps, _ = smooth_min_entropy(state.classical_joint(), epsilon_smooth)
@@ -298,7 +296,7 @@ def pa_distance_slow(state: CqState, family: HashFamily,
     """Reference member-by-member implementation; cross-checks the
     vectorized path in the tests. Its size * 2^l * |U| terms are added
     exactly (`math.fsum`), so its own rounding stays below 1e-12."""
-    _check_family_domain(state, family)
+    _domain_index(state.x, family)
     check_cap("pa-oracle", "members", family.size)
     ell = family.ell
     de = state.dim_e
@@ -306,10 +304,9 @@ def pa_distance_slow(state: CqState, family: HashFamily,
     weight = 1.0 / family.size
     terms = []
     for uv, xs, ps, ops in _blocks_by_u(state):
-        xints = [int(xv, 2) for xv in xs]
         for member in family.members():
             blocks = np.zeros((n_out, de, de), dtype=complex)
-            for xi, pv, op in zip(xints, ps, ops):
+            for xi, pv, op in zip(xs, ps, ops):
                 blocks[family.eval(member, xi)] += pv * op
             avg = blocks.sum(axis=0) / n_out
             terms += [0.5 * weight * trace_norm(blocks[z] - avg)
@@ -327,29 +324,28 @@ def classical_lhl_distance(p_x: Distribution, family: HashFamily
     1/2 2^{-(H_2(X) - l)/2}. Averaged as in `pa_distance`, over row-space
     classes, each rank-r class weighted by its prod_{i<r} (2^l - 2^i)
     members (times 2^l offsets when affine), with one u-block and no E."""
-    if {len(o) for o in p_x.outcomes} != {family.n}:
-        raise InputError("hash family domain does not match the alphabet")
     stack = np.zeros((1, 1 << family.n, 1, 1))
-    stack[0, [int(o, 2) for o in p_x.outcomes], 0, 0] = p_x.mass
+    stack[0, _domain_index(p_x.outcomes, family), 0, 0] = p_x.mass
     bound = 0.5 * 2.0 ** (-0.5 * (renyi_entropy(p_x, 2) - family.ell))
     return _class_average(stack, family), bound
 
 
-def guess_within_ball(state: CqState, strategy, delta: float,
+def guess_within_ball(state: CqState, strategy, n: int, delta: float,
                       epsilon_smooth: float = 0.0) -> tuple[float, float]:
     """Success probability that a (U, measure-E) guess lands within Hamming
-    distance delta*n of X, against the ball-guessing bound
+    distance delta*n of the n-bit X, against the ball-guessing bound
     2^{-(H^eps(X|U)-q-1)/2 + log B} + 2 eps B.
 
-    `strategy(u)` returns a list of (povm_element, guess_string) pairs
-    forming a measurement on E.
+    `strategy(u)` returns a list of (povm_element, guess) pairs forming a
+    measurement on E, each guess a packed n-bit int.
     """
-    n = len(state.x[0])
     radius = int(math.floor(delta * n))
     ball, _ = hamming_ball_size(n, radius)
     success = 0.0
     for xv, uv, pv, op in zip(state.x, state.u, state.p, state.ops):
         for element, guess in strategy(uv):
+            if guess >> n:
+                raise InputError(f"guess {guess} has more than n={n} bits")
             if hamming(guess, xv) <= radius:
                 success += pv * float(np.trace(
                     np.asarray(element, dtype=complex) @ op).real)

@@ -32,16 +32,23 @@ def _log2(x) -> float:
 # Distributions
 # ---------------------------------------------------------------------------
 
+def _alphabet(outcomes):
+    """An alphabet as stored: a `range` (packed ints) as is, else a tuple."""
+    return outcomes if isinstance(outcomes, range) else tuple(outcomes)
+
+
 class Distribution:
     """Finite, possibly sub-normalized probability vector over an explicit
-    alphabet of hashable outcome labels."""
+    alphabet of hashable outcome labels; bit-string outcomes are packed
+    ints, usually the alphabet `range(1 << n)`."""
 
     def __init__(self, outcomes, mass, normalized: bool = True):
-        self.outcomes = tuple(outcomes)
+        self.outcomes = _alphabet(outcomes)
         m = np.array(mass, dtype=float)
         if m.ndim != 1 or len(m) != len(self.outcomes):
             raise InputError("mass vector does not match alphabet")
-        if len(self.outcomes) != len(set(self.outcomes)):
+        if not isinstance(self.outcomes, range) \
+                and len(self.outcomes) != len(set(self.outcomes)):
             raise InputError("duplicate outcome labels")
         if (m < 0).any():
             raise InputError("negative probability mass")
@@ -52,9 +59,11 @@ class Distribution:
             raise InputError(f"total mass {total} exceeds 1")
         self.mass = m
         self.normalized = bool(normalized)
-        self._index = {o: i for i, o in enumerate(self.outcomes)}
+        self._index = None
 
     def p(self, outcome):
+        if self._index is None:
+            self._index = {o: i for i, o in enumerate(self.outcomes)}
         return self.mass[self._index[outcome]]
 
     def support_size(self) -> int:
@@ -80,7 +89,7 @@ class JointDistribution:
     """
 
     def __init__(self, axes, mass, normalized: bool = True):
-        self.axes = tuple(tuple(a) for a in axes)
+        self.axes = tuple(_alphabet(a) for a in axes)
         m = np.array(mass, dtype=float)
         if m.shape != tuple(len(a) for a in self.axes):
             raise InputError("mass tensor does not match axis alphabets")
@@ -118,13 +127,6 @@ class JointDistribution:
             raise InputError(f"conditioning on zero-probability value {value!r}")
         rest = [self.axes[a] for a in range(self.k) if a != ax]
         return JointDistribution(rest, block / w, normalized=True)
-
-    @staticmethod
-    def from_distribution(p: Distribution) -> "JointDistribution":
-        """Lift to an X x Y joint with a trivial (constant) Y."""
-        return JointDistribution([p.outcomes, ("*",)],
-                                 np.asarray(p.mass).reshape(-1, 1),
-                                 normalized=p.normalized)
 
     @staticmethod
     def independent(px: Distribution, py: Distribution) -> "JointDistribution":

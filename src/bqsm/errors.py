@@ -43,11 +43,15 @@ CAPS = {
 }
 
 
-def check_count(param: str, value: int, least: int = 1):
-    """Refuse a count `value` of `param` below `least`."""
+def check_count(param: str, value: int, least: int = 1,
+                most: int | None = None):
+    """Refuse a count `value` of `param` below `least` or above `most`."""
     if value < least:
         raise InputError(f"{param}={value} is below {least}; "
                          f"raise {param}")
+    if most is not None and value > most:
+        raise InputError(f"{param}={value} is above {most}; "
+                         f"lower {param}")
 
 
 def check_cap(name: str, param: str, value: int):

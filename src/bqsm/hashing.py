@@ -213,10 +213,9 @@ class HashFamily:
         The affine family factors exactly: with F = (M, b), the pair
         (Mx+b, My+b) is uniform iff b is (it is, by enumeration) and
         M(x+y) is uniform over all matrices, so it suffices to histogram
-        every linear-table column at every nonzero difference. For the
-        histogram over the full member set see
-        `pair_histogram`, used by the tests to cross-check this path at
-        small sizes.
+        every linear-table column at every nonzero difference. The tests
+        cross-check this path at small sizes against
+        `_pair_histogram_uniform` on the full affine member table.
         """
         if self.kind == "affine":
             linear = HashFamily(self.n, self.ell, "linear")
@@ -229,12 +228,6 @@ class HashFamily:
             return True
         return _pair_histogram_uniform(self.eval_table(), self.n, self.ell,
                                        self.size)
-
-    def pair_histogram(self, x: int, y: int) -> np.ndarray:
-        """Joint histogram of (F(x), F(y)) over the whole family."""
-        table = self.eval_table()
-        pair = (table[:, x].astype(np.int64) << self.ell) | table[:, y]
-        return np.bincount(pair, minlength=1 << (2 * self.ell))
 
 
 def _echelon_rows(n: int, r: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ..bits import bases_to_str, bits_to_int, bits_to_str, int_to_str
+from ..bits import bases_to_str, bits_to_int, bits_to_str
 from ..cqstate import CqState
 from ..errors import InputError, check_cap
 from ..hashing import HashFamily, fwht
@@ -156,15 +156,15 @@ def rabin_exact_blocks(n: int, strategy: AdversaryStrategy):
             yield r, y, 0.5 * p_y, p, u[:, :, None] * u[:, None, :].conj()
 
 
-def rabin_cq_state(n: int, q: int, blocks, p_total: float = 1.0) -> CqState:
-    """The cq-state of X against the adversary's view U = (r, y) and kept
-    register: one entry per x with p_x > 0 in each
+def rabin_cq_state(q: int, blocks, p_total: float = 1.0) -> CqState:
+    """The cq-state of the packed X against the adversary's view
+    U = (r, y) and kept register: one entry per x with p_x > 0 in each
     (r, y, P(r, y), p_x_given_ry, kept_ops) block of `rabin_exact_blocks`,
     with probabilities divided by p_total."""
     xs, us, ps, ops = [], [], [], []
     for r, y, p_ry, p_x, op in blocks:
-        for x in np.nonzero(p_x > 0)[0]:
-            xs.append(int_to_str(int(x), n))
+        for x in np.nonzero(p_x > 0)[0].tolist():
+            xs.append(x)
             us.append((r, int(y)))
             ps.append(p_ry * p_x[x])
             ops.append(op[x])

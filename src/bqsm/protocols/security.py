@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..bits import int_to_str
 from ..cqstate import pa_distance
 from ..entropy import JointDistribution, smooth_min_entropy, split_pointer
 from ..errors import InputError, check_cap
@@ -245,7 +244,7 @@ def _rabin_sender_security(strategy, n, lam) -> dict:
             p_ry, p_x, ops = per_r[r]
             p_event += p_ry * prob
             chosen.append((r, y, p_ry, np.where(keep, p_x, 0.0), ops))
-    state = rabin_cq_state(n, q, chosen, p_event)
+    state = rabin_cq_state(q, chosen, p_event)
     fam = HashFamily(n, 1, "linear")
     exact, bound = pa_distance(state, fam, 0.0)
     links["pa"] = bound - exact
@@ -293,9 +292,8 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
         per_theta.append((theta, mass_yx[mass_yx.sum(axis=1) > 0]))
     cols = [m for _, rows in per_theta for m in rows]
     mass = np.stack(cols, axis=1) * 2.0 ** (-n)
-    joint = JointDistribution(
-        [[int_to_str(v, n) for v in range(1 << n)], range(len(cols))],
-        mass, normalized=True)
+    joint = JointDistribution([range(1 << n), range(len(cols))], mass,
+                              normalized=True)
     eps_unc = genrel_epsilon(n, lam, 2, 2)
     h_unc, _ = smooth_min_entropy(joint, eps_unc)
     links = {"uncertainty": h_unc - (0.5 - 2 * lam) * n}

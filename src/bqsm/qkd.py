@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import bits_to_str, int_to_str
+from .bits import bits_to_str
 from .cqstate import CqState, pa_distance
 from .entropy import binary_entropy, inverse_binary_entropy
 from .errors import InputError, check_cap, check_count
@@ -207,11 +207,14 @@ def rate_bound_check(config: QkdConfig, eve: Eavesdropper, m: int,
             per_symbol.append(("qub", ops))
         else:
             per_symbol.append(("none", None))
-    # assemble the ccq-state over x in {0,1}^m
+    # assemble the ccq-state over x in {0,1}^m; a syndrome announcement
+    # joins the classical side information
     xs, us, ps, ops = [], [], [], []
     dim = 1 << q
     for x in range(1 << m):
         bits = [(x >> (m - 1 - i)) & 1 for i in range(m)]
+        syn = None if config.code is None \
+            else bits_to_str(config.code.syndrome_chunked(bits))
         z_branches = [("", 1.0)]
         op = np.array([[1.0 + 0j]])
         for i in range(m):
@@ -224,20 +227,12 @@ def rate_bound_check(config: QkdConfig, eve: Eavesdropper, m: int,
         for zs, w in z_branches:
             if w <= 0:
                 continue
-            xs.append(int_to_str(x, m))
-            us.append(zs)
+            xs.append(x)
+            us.append(zs if syn is None else (zs, syn))
             ps.append(w * 2.0 ** (-m))
             full = op if op.shape[0] == dim else np.kron(
                 op, np.eye(dim // op.shape[0]) / (dim // op.shape[0]))
             ops.append(full)
-    # syndrome announcement joins the classical side information
-    if config.code is not None:
-        new_us = []
-        for xv, uv in zip(xs, us):
-            syn = config.code.syndrome_chunked(
-                np.frombuffer(xv.encode(), dtype=np.uint8) - ord("0"))
-            new_us.append((uv, bits_to_str(syn)))
-        us = new_us
     state = CqState(tuple(xs), np.asarray(ps), tuple(ops), q, tuple(us))
     ell = key_length(config, m)
     out = {"m": m, "theta": "".join(theta), "eve": str(eve),

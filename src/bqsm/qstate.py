@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import int_to_str
 from .errors import InputError, check_cap
 from .entropy import Distribution
 
@@ -293,7 +292,8 @@ def _rotate_density(rho_matrix: np.ndarray, mats) -> np.ndarray:
 
 def measure_per_qubit(rho: DensityOperator, theta) -> Distribution:
     """Measure an n-qubit state in the product basis given by per-qubit
-    labels (or Basis objects); outcomes are bit-strings."""
+    labels (or Basis objects); outcomes are the packed ints
+    range(2^n), qubit 0 the most significant bit."""
     n = rho.n
     if len(theta) != n:
         raise InputError("basis choice vector length differs from qubit count")
@@ -304,8 +304,7 @@ def measure_per_qubit(rho: DensityOperator, theta) -> Distribution:
     total = probs.sum()
     if abs(total - 1.0) > MEAS_TOL:
         raise InputError(f"measurement probabilities sum to {total}")
-    outcomes = [int_to_str(v, n) for v in range(2 ** n)]
-    return Distribution(outcomes, probs / total)
+    return Distribution(range(2 ** n), probs / total)
 
 
 def measure_per_qubit_pure(psi: PureState, theta) -> np.ndarray:
@@ -323,8 +322,6 @@ def measure_per_qubit_pure(psi: PureState, theta) -> np.ndarray:
     return probs / probs.sum()
 
 
-BELL_LABELS = ("phi+", "psi+", "phi-", "psi-")
-
 _BELL = np.array([
     [_SQ2, 0, _SQ2, 0],
     [0, _SQ2, 0, _SQ2],
@@ -335,15 +332,6 @@ _BELL = np.array([
 
 def bell_basis() -> Basis:
     return Basis("bell", _BELL)
-
-
-def bell_measure(rho: DensityOperator) -> Distribution:
-    """Born-rule distribution over the four Bell projectors of a 2-qubit
-    state."""
-    if rho.dim != 4:
-        raise InputError("Bell measurement needs a 2-qubit state")
-    probs = _probs_from_density(rho, _BELL)
-    return Distribution(BELL_LABELS, probs)
 
 
 # ---------------------------------------------------------------------------

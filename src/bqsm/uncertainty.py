@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import int_to_str
 from .entropy import (JointDistribution, shannon_entropy, smooth_min_entropy)
 from .errors import InputError, PromiseViolation, check_cap
 from .qstate import (BasisSet, PureState, measure,
@@ -62,12 +61,13 @@ def _two_basis_probs(rho) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _set_probability(q: np.ndarray, labels) -> float:
-    return float(sum(q[int(s, 2) if isinstance(s, str) else int(s)]
-                     for s in labels))
+    """Q(L), added left to right in the order of the packed ints L."""
+    return float(sum(q[list(labels)]))
 
 
 def two_basis_relation(rho, l_plus, l_times) -> RelationReport:
-    """Q+(L+) + Qx(Lx) <= 1 + 2^{-n/2} sqrt(|L+| |Lx|)."""
+    """Q+(L+) + Qx(Lx) <= 1 + 2^{-n/2} sqrt(|L+| |Lx|), for sets of
+    packed n-bit outcomes."""
     n = rho.n
     check_cap("relation-qubits", "n", n)
     q_plus, q_times = _two_basis_probs(rho)
@@ -110,8 +110,8 @@ def hadamard_invariant_state(n: int) -> PureState:
 
 
 def half_split_state(n: int) -> tuple[PureState, list, list]:
-    """|0>^{n/2} (x) (H|0>)^{n/2} with the two half-fixed sets; the second
-    equality case (n even)."""
+    """|0>^{n/2} (x) (H|0>)^{n/2} with the two half-fixed sets of packed
+    outcomes; the second equality case (n even)."""
     if n % 2:
         raise InputError("half-split witness needs even n")
     half = n // 2
@@ -119,8 +119,8 @@ def half_split_state(n: int) -> tuple[PureState, list, list]:
     amp0[0] = 1.0
     ampx = np.full(2 ** half, 2.0 ** (-half / 2.0), dtype=complex)
     amp = np.kron(amp0, ampx)
-    l_plus = ["0" * half + int_to_str(v, half) for v in range(2 ** half)]
-    l_times = [int_to_str(v, half) + "0" * half for v in range(2 ** half)]
+    l_plus = list(range(2 ** half))
+    l_times = [v << half for v in range(2 ** half)]
     return PureState(amp), l_plus, l_times
 
 
@@ -209,7 +209,7 @@ def _build_event(q_plus, q_times, lam, kappa, n):
 
 def multi_mub_relation(rho, basis_set: BasisSet, sets) -> RelationReport:
     """sum_i Q^i(L^i) <= 1 + M 2^{-n/2} max_{i<j} sqrt(|L^i| |L^j|) for
-    M+1 mutually unbiased bases."""
+    M+1 mutually unbiased bases and sets L^i of packed outcomes."""
     if not basis_set.mutually_unbiased:
         raise InputError("basis set must be verified mutually unbiased")
     if len(sets) != len(basis_set):
@@ -336,9 +336,8 @@ def second_relation_sample(rho, basis_labels, h: float, lam: float,
         slices.append(probs / trials)
         labels.append("".join(theta))
         per_slice.append(-math.log2(probs.max()))
-    joint = JointDistribution(
-        [[int_to_str(v, n) for v in range(2 ** n)], range(trials)],
-        np.stack(slices, axis=1), normalized=True)
+    joint = JointDistribution([range(2 ** n), range(trials)],
+                              np.stack(slices, axis=1), normalized=True)
     h_eps, _ = smooth_min_entropy(joint, eps)
     floor = (h - 2 * lam) * n
     return {"h_eps": h_eps, "floor": floor, "eps": eps,

@@ -174,7 +174,7 @@ def compare(entry, stdout, stderr, code, exact) -> tuple:
     new = record_entry(stdout, stderr, code)
     same_bytes = all(new[k] == entry[k] for k in
                      ("stdout_sha256", "stderr_sha256", "exit"))
-    if exact and same_bytes:
+    if same_bytes:
         return "identical", ""
     if "stdout_json" not in entry or "stdout_json" not in new:
         if exact or new["exit"] != entry["exit"]:

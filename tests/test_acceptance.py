@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 
-from bqsm.bits import int_to_str
 from bqsm.classical_ot import (OtOutputDistribution, construct_pointer,
                                ndlf_security_distance, xor_uniformity)
 from bqsm.cqstate import CqState, classical_lhl_distance, pa_distance
@@ -63,8 +62,7 @@ def test_criterion_01_invariant_state_tightness():
     t0 = time.time()
     worst = 0.0
     for n in range(2, 9):
-        rep = two_basis_relation(hadamard_invariant_state(n),
-                                 ["0" * n], ["0" * n])
+        rep = two_basis_relation(hadamard_invariant_state(n), [0], [0])
         worst = max(worst, abs(rep.lhs - (1 + 2 ** (-n / 2.0))),
                     abs(rep.slack))
     elapsed = time.time() - t0
@@ -189,12 +187,11 @@ def test_criterion_07_classical_leftover_hash():
     viol = checked = 0
     for n, ell in cases:
         fam = HashFamily(n, ell, "linear")
-        labels = [int_to_str(v, n) for v in range(1 << n)]
         rng = np.random.default_rng(707 + n * 10 + ell)
         for t in range(20):
             mass = _structured(rng, 1 << n, t)
             exact, bound = classical_lhl_distance(
-                Distribution(labels, mass), fam)
+                Distribution(range(1 << n), mass), fam)
             checked += 1
             viol += exact > bound + 1e-9
     report(7, f"classical left-over hash on {checked} structured "
@@ -238,7 +235,7 @@ def test_criterion_08_pa_against_quantum_memory():
             eye = np.eye(1 << q, dtype=complex) / (1 << q)
             for r, y, p_ry, p_x, op in rabin_exact_blocks(n, strat):
                 for x in np.nonzero(p_x > 0)[0]:
-                    xs.append(int_to_str(int(x), n))
+                    xs.append(int(x))
                     us.append((r, int(y)))
                     ps.append(p_ry * p_x[x])
                     ops.append(op[x] if op[x] is not None else eye)

@@ -23,16 +23,12 @@ from bqsm.qstate import haar_state
 from bqsm.uncertainty import two_basis_relation
 
 
-def _labels(n, k):
-    return tuple(format(i, f"0{n}b") for i in range(k))
-
-
 # cap name -> (call just past the cap, "param=value" it must name)
 PAST_CAP = {
     "dense-qubits": (lambda: haar_state(15, np.random.default_rng(0)),
                      "n=15"),
     "cq-dimension": (lambda: CqState(
-        _labels(15, 16385), np.full(16385, 1 / 16385),
+        tuple(range(16385)), np.full(16385, 1 / 16385),
         (np.ones((1, 1)),) * 16385, 0).assemble(), "dim=16385"),
     "joint-entries": (lambda: JointDistribution(
         [range(1025), range(1024)], np.zeros((1025, 1024)),
@@ -41,7 +37,7 @@ PAST_CAP = {
     "hash-table": (lambda: HashFamily(9, 2).eval_table(),
                    "2^(n*ell+n)=134217728"),
     "pa-oracle": (lambda: pa_distance_slow(
-        CqState(_labels(13, 1), [1.0], (np.ones((1, 1)),), 0),
+        CqState((0,), [1.0], (np.ones((1, 1)),), 0),
         HashFamily(13, 1)), "members=8192"),
     "ndlf-ell": (lambda: next(enumerate_ndlf(17)), "ell=17"),
     "ot-ell": (lambda: OtOutputDistribution(np.ones((1, 1, 1)), 9),

@@ -153,6 +153,20 @@ class TestProcessInterface:
         (("hd-mc", "samples=0"), 2, "samples=0"),
         (("hd-mc", "samples=1"), 2, "samples=1"),
         (("hd-mc", "samples=-3"), 2, "samples=-3"),
+        # honest runs need a qubit and a run
+        (("commitment-honest", "n=0"), 2, "n=0"),
+        (("commitment-honest", "n=-3"), 2, "n=-3"),
+        (("commitment-honest", "runs=0"), 2, "runs=0"),
+        (("ot12-honest", "runs=0"), 2, "runs=0"),
+        # the sweeps draw set sizes from [1, max_set], max_set <= 2^n
+        (("uncertainty-two-basis", "n=-1"), 2, "n=-1"),
+        (("uncertainty-two-basis", "max_set=-1"), 2, "max_set=-1"),
+        (("uncertainty-two-basis", "n=2", "max_set=9"), 2, "max_set=9"),
+        (("uncertainty-two-basis", "max_set=0"), 2, "max_set=0"),
+        (("uncertainty-two-basis", "n=2", "max_set=4", "trials=2"), 0,
+         None),
+        (("uncertainty-two-basis", "trials=0"), 2, "trials=0"),
+        (("uncertainty-multi-mub", "trials=0"), 2, "trials=0"),
     ])
     def test_library_errors_exit_2_with_json(self, params, code, named,
                                              tmp_path):

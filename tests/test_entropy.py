@@ -143,7 +143,7 @@ class TestSmoothing:
             assert ev.epsilon == 0.0
 
     def test_point_mass_gain(self):
-        j = JointDistribution.from_distribution(Distribution(["z"], [1.0]))
+        j = JointDistribution([["z"], ["*"]], [[1.0]])
         h, ev = smooth_min_entropy(j, 0.5)
         assert h == pytest.approx(1.0)
         assert ev.epsilon == pytest.approx(0.5)
@@ -188,8 +188,7 @@ class TestSmoothing:
                 assert -math.log2(peak) <= h + 1e-9
 
     def test_max_entropy_uniform_examples(self):
-        j = JointDistribution.from_distribution(
-            Distribution.uniform(range(4)))
+        j = JointDistribution([range(4), ["*"]], np.full((4, 1), 0.25))
         assert smooth_max_entropy(j, 0.0)[0] == pytest.approx(2.0)
         assert smooth_max_entropy(j, 0.24)[0] == pytest.approx(2.0)
         assert smooth_max_entropy(j, 0.3)[0] == pytest.approx(math.log2(3))

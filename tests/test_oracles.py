@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hst
 
-from bqsm.bits import int_to_str
 from bqsm.classical_ot import (OtOutputDistribution, UotChannel,
                                construct_pointer, reduce_ot_from_uot,
                                xor_uniformity)
@@ -584,7 +583,7 @@ class TestPaOutputConsistency:
         # the hashed state's distance from uniform, computed on the
         # assembled output of pa_output_state, matches pa_distance
         rng = np.random.default_rng(4)
-        xs = [int_to_str(v, 2) for v in range(4)]
+        xs = range(4)
         p = rng.random(4)
         p /= p.sum()
         ops = tuple(random_density(1, rng).matrix for _ in range(4))
@@ -601,7 +600,7 @@ class TestPaOutputConsistency:
             marg[u] = marg[u] + pv * op
         dist = 0.0
         for u in marg:
-            for z in ("0", "1"):
+            for z in (0, 1):
                 pv, op = real.get((z, u),
                                   (0.0, np.zeros((2, 2), dtype=complex)))
                 dist += 0.5 * trace_norm(pv * op - marg[u] / 2.0)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as hst
 
 from bqsm import bits
-from bqsm.bits import int_to_str
 from bqsm.cli import _exp_azuma
 from bqsm.entropy import shannon_entropy
 from bqsm.errors import InputError, PromiseViolation
@@ -30,7 +29,7 @@ class TestTwoBasisRelation:
     def test_invariant_state_tight(self):
         for n in range(2, 9):
             st = hadamard_invariant_state(n)
-            rep = two_basis_relation(st, ["0" * n], ["0" * n])
+            rep = two_basis_relation(st, [0], [0])
             assert rep.lhs == pytest.approx(1 + 2 ** (-n / 2), abs=1e-9)
             assert abs(rep.slack) < 1e-9
 
@@ -49,10 +48,8 @@ class TestTwoBasisRelation:
                 else random_density(n, rng)
             k1 = int(rng.integers(1, 2 ** n + 1))
             k2 = int(rng.integers(1, 2 ** n + 1))
-            lp = [int_to_str(v, n)
-                  for v in rng.choice(2 ** n, k1, replace=False)]
-            lt = [int_to_str(v, n)
-                  for v in rng.choice(2 ** n, k2, replace=False)]
+            lp = rng.choice(2 ** n, k1, replace=False)
+            lt = rng.choice(2 ** n, k2, replace=False)
             assert two_basis_relation(st, lp, lt).holds
 
     def test_max_prob_corollary(self):
@@ -117,7 +114,7 @@ class TestMultiMub:
     def test_singleton_fully_mixed(self):
         bs = standard_basis_set("six-state", 3)
         rep = multi_mub_relation(DensityOperator.maximally_mixed(3), bs,
-                                 [["000"]] * 3)
+                                 [[0b000]] * 3)
         assert rep.lhs == pytest.approx(3 / 8)
         assert rep.holds
 
@@ -138,8 +135,7 @@ class TestMultiMub:
             st = haar_state(3, rng) if rng.integers(2) \
                 else random_density(3, rng)
             rho = st.density() if hasattr(st, "density") else st
-            sets = [[int_to_str(v, 3) for v in
-                     rng.choice(8, int(rng.integers(1, 9)), replace=False)]
+            sets = [rng.choice(8, int(rng.integers(1, 9)), replace=False)
                     for _ in range(3)]
             assert multi_mub_relation(rho, bs, sets).holds
 
@@ -148,7 +144,7 @@ class TestMultiMub:
         bs = BasisSet([single_qubit_basis("+"), single_qubit_basis("x")])
         with pytest.raises(InputError):
             multi_mub_relation(DensityOperator.maximally_mixed(1), bs,
-                               [["0"], ["0"]])
+                               [[0], [0]])
 
 
 class TestShannonRelations:
