@@ -21,7 +21,8 @@ is 1 when any spec changed, else 0.
 Groups: `registry` (every experiment at its defaults, seed 1616),
 `workloads` (every `perfbench/workloads.py` spec at its workload seed)
 and `grids` (parameter grids around privacy amplification, the
-uncertainty relations, the QKD rate check and sender security).
+uncertainty relations, the QKD rate check, sender security and the dense
+adversary engine).
 """
 
 import os
@@ -97,6 +98,15 @@ def _grid_specs():
         for n in (3, 4, 5):
             for q in (0, 1, 2):
                 add("sender-security", protocol=protocol, n=n, q=q)
+    for n in (3, 4, 5):
+        add("sender-security", protocol="rabin", n=n, strategy="breitbart")
+    for n in range(2, 10):
+        add("purification-equivalence", n=n)
+    for n in (2, 4, 6, 8):
+        add("bell-attack", n=n)
+    for sender in ("honest", "entangled"):
+        for n in (2, 3, 4):
+            add("receiver-security", n=n, sender=sender)
     return out
 
 
