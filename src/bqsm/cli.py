@@ -95,6 +95,7 @@ def _exp_uncertainty_two_basis(seed, n=6, trials=1000,
 def _exp_uncertainty_tight_cases(seed, n_max=8):
     from .uncertainty import (hadamard_invariant_state, half_split_state,
                               two_basis_relation)
+    check_count("n_max", n_max, least=2)
     rows, violations = [], 0
     for n in range(2, n_max + 1):
         rep = two_basis_relation(hadamard_invariant_state(n), [0], [0])
@@ -115,6 +116,7 @@ def _exp_second_relation(seed, n=6, lam=0.12, trials=40, alphabet="bb84"):
     from .uncertainty import second_relation_sample
     from .qkd import AEU_BOUND
     h = _choose("alphabet", alphabet, AEU_BOUND)
+    check_count("trials", trials)
     labels = ["+", "x"] if alphabet == "bb84" else ["+", "x", "circ"]
     rec = second_relation_sample(DensityOperator.maximally_mixed(n),
                                  labels, h, lam, trials, seed)
@@ -146,6 +148,7 @@ def _exp_maassen_uffink(seed, n=4, trials=1000):
     from .entropy import shannon_entropy
     from .qstate import haar_state, random_density
     from .uncertainty import _two_basis_probs
+    check_count("trials", trials)
     rows, violations = [], 0
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
@@ -219,6 +222,7 @@ def _exp_lhl_classical(seed, n=4, ell=1, distributions=20):
     from .cqstate import classical_lhl_distance
     from .entropy import Distribution
     from .hashing import HashFamily
+    check_count("distributions", distributions)
     fam = HashFamily(n, ell, "linear")
     rows, violations = [], 0
     for t in range(distributions):

@@ -15,17 +15,23 @@ Two engines evaluate strategies exactly:
   the full P(y, x | theta) for one basis string. Runs scale to large n.
 * dense engine - arbitrary compression unitaries over all received qubits
   plus ancillas (used e.g. for pairwise Bell measurements); capped at small
-  n by the 2^n x 2^{n+a} joint amplitude array.
+  n by the 2^n x 2^{n+a} joint amplitude array. A strategy enters it as
+  wire-ordered factors (`dense_layout`): a 2x2 per measured wire of a
+  product plan, a 4x4 per Bell pair, the whole unitary for `custom`.
+  `_apply` merges them and the sender's per-qubit bases into blocks of a
+  few wires, one gemm and one 2-D transpose each; no Kronecker product
+  of all wires is formed.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import InputError, check_cap
-from ..qstate import SINGLE_QUBIT_BASES, bell_basis, product_basis_matrix
+from ..qstate import SINGLE_QUBIT_BASES, bell_basis
 
 
 @dataclass(frozen=True)
@@ -70,29 +76,32 @@ class AdversaryStrategy:
         raise InputError(f"{self.kind} has no per-qubit structure")
 
     def dense_layout(self, n: int):
-        """(unitary on 2^{n+a}, kept wire tuple, ancillas)."""
+        """(factors, kept wire tuple, ancillas) for the dense engine, within
+        its cap: factors are (first wire, matrix) pairs in wire order, each
+        on consecutive wires: W^dagger per measured wire, Bell^dagger per
+        pair, the whole unitary for custom. Other wires keep the identity."""
+        check_cap("dense-engine", "n", n)
         if self.is_product():
             plan = self.product_plan(n)
-            u = np.array([[1.0 + 0j]])
-            kept = []
-            for i, step in enumerate(plan):
-                if step[0] == "keep":
-                    u = np.kron(u, np.eye(2, dtype=complex))
-                    kept.append(i)
-                else:
-                    u = np.kron(u, SINGLE_QUBIT_BASES[step[1]].conj().T)
-            return u, tuple(kept), 0
+            factors = [(i, SINGLE_QUBIT_BASES[step[1]].conj().T)
+                       for i, step in enumerate(plan) if step[0] == "measure"]
+            kept = tuple(i for i, step in enumerate(plan)
+                         if step[0] == "keep")
+            return factors, kept, 0
         if self.kind == "bell_pairwise_xor":
             if n % 2:
                 raise InputError("pairwise Bell measurement needs even n")
             b = bell_basis().matrix.conj().T
-            u = np.array([[1.0 + 0j]])
-            for _ in range(n // 2):
-                u = np.kron(u, b)
-            return u, (), 0
+            return [(i, b) for i in range(0, n, 2)], (), 0
         if self.kind == "custom":
-            u, kept, ancillas = self.params
-            return np.asarray(u, dtype=complex), tuple(kept), ancillas
+            u, kept, anc = self.params
+            if np.shape(u) != (1 << (n + anc),) * 2:
+                raise InputError("compression unitary has the wrong dimension")
+            if len(set(kept)) != len(kept) \
+                    or not set(kept) <= set(range(n + anc)):
+                raise InputError(f"kept wires {kept} are not distinct wires "
+                                 f"of 0..{n + anc - 1}")
+            return [(0, np.asarray(u, dtype=complex))], tuple(kept), anc
         raise InputError(f"unknown strategy kind {self.kind!r}")
 
 
@@ -143,38 +152,55 @@ class DenseBlocks:
     amps: np.ndarray      # (len(ys), 2^n, 2^q), normalized per outcome
 
 
-def _checked_layout(n: int, strategy: AdversaryStrategy):
-    """The strategy's (unitary, kept wires, ancillas), checked against the
-    dense-engine cap, the unitary's dimension and the wire count."""
-    check_cap("dense-engine", "n", n)
-    u, kept, anc = strategy.dense_layout(n)
-    if u.shape != (1 << (n + anc),) * 2:
-        raise InputError("compression unitary has the wrong dimension")
-    if len(set(kept)) != len(kept) or not set(kept) <= set(range(n + anc)):
-        raise InputError(f"kept wires {kept} are not distinct wires of "
-                         f"0..{n + anc - 1}")
-    return u, kept, anc
+# widest run of wires `_apply` merges into one block
+_BLOCK = 4
+_I2 = np.eye(2, dtype=complex)
 
 
-def _wire_split(amps: np.ndarray, total: int, kept) -> np.ndarray:
-    """Split the last axis of `amps` (2^total, wire 0 most significant) into
-    the adversary's outcome y (the measured wires, in wire order) and kept
-    index k (the kept wires, in `kept` order): a contiguous y-major array
-    of shape (2^meas, *leading axes, 2^q)."""
-    lead = amps.ndim - 1
+def _apply(a: np.ndarray, kept, factors=(), bases=()) -> np.ndarray:
+    """Apply `dense_layout` factors, after the per-wire 2x2 `bases` (if
+    any), to the rows of a (2^total, R) array, wire 0 most significant;
+    split the result as out[y, r, k], y the wires not in `kept` (in wire
+    order) and k the `kept` ones (in `kept` order).
+
+    Adjacent wires merge into blocks of up to _BLOCK wires. A block costs
+    one gemm on its wires, which lead the rows (none if it is the
+    identity), and one 2-D transpose that moves them behind R; after the
+    last block the wires are in order again and one copy splits them."""
+    total, rows = a.shape[0].bit_length() - 1, a.shape[1]
+    mats, blocks, w = dict(factors), [], 0
+    while w < total:
+        m = mats.get(w, _I2)
+        k = m.shape[0].bit_length() - 1
+        if bases:
+            m = m @ functools.reduce(np.kron, bases[w:w + k])
+        if blocks and blocks[-1][0] + k <= _BLOCK:
+            blocks[-1] = (blocks[-1][0] + k, np.kron(blocks[-1][1], m))
+        else:
+            blocks.append((k, m))
+        w += k
+    for k, m in blocks:
+        a = a.reshape(1 << k, -1)
+        a = (a if np.array_equal(m, np.eye(1 << k)) else m @ a).T
     measured = [w for w in range(total) if w not in kept]
-    axes = [lead + w for w in measured] + list(range(lead)) \
-        + [lead + w for w in kept]
-    wires = amps.reshape(amps.shape[:-1] + (2,) * total).transpose(axes)
+    wires = a.reshape((rows,) + (2,) * total).transpose(
+        [1 + w for w in measured] + [0] + [1 + w for w in kept])
     return np.ascontiguousarray(wires).reshape(
-        (1 << len(measured),) + amps.shape[:-1] + (1 << len(kept),))
+        1 << len(measured), rows, 1 << len(kept))
+
+
+def _sender_columns(n: int, anc: int, xs, scale=1.0) -> np.ndarray:
+    """scale |x>|0^anc> for each x of xs, as columns."""
+    cols = np.zeros((1 << (n + anc), len(xs)), dtype=complex)
+    cols[np.asarray(xs) << anc, np.arange(len(xs))] = scale
+    return cols
 
 
 def epr_blocks_dense(n: int, strategy: AdversaryStrategy) -> DenseBlocks:
-    u, kept, anc = _checked_layout(n, strategy)
-    # psi[x, m] = 2^{-n/2} U[m, x << anc]
-    psi = u[:, (np.arange(1 << n) << anc)].T * 2.0 ** (-n / 2.0)
-    split = _wire_split(psi, n + anc, kept)
+    factors, kept, anc = strategy.dense_layout(n)
+    # split[y, x, k] = 2^{-n/2} <y, k| U |x>|0^anc>
+    split = _apply(_sender_columns(n, anc, range(1 << n), 2.0 ** (-n / 2)),
+                   kept, factors)
     p = (np.abs(split) ** 2).reshape(len(split), -1).sum(axis=1)
     ys = np.nonzero(p > 1e-15)[0]
     amps = split[ys] / np.sqrt(p[ys])[:, None, None]
@@ -196,18 +222,23 @@ def sender_measurement_dense(blocks: DenseBlocks, theta) -> np.ndarray:
     """Measure the sender register of every y-block in the per-qubit basis
     theta: c[y, x, k] = (V_theta^dagger B_y)[x, k] over the kept outcomes
     y of `blocks.ys`, so ||c[y, x]||^2 = p(x | y)."""
-    return product_basis_matrix(theta).conj().T @ blocks.amps
+    ys, dim, dim_k = blocks.amps.shape
+    rows = np.moveaxis(blocks.amps, 1, 0).reshape(dim, ys * dim_k)
+    out = _apply(rows, (), bases=[SINGLE_QUBIT_BASES[t].conj().T
+                                  for t in theta])
+    return out.reshape(dim, ys, dim_k).swapaxes(0, 1)
 
 
-def direct_blocks_dense(n: int, strategy: AdversaryStrategy, theta
-                        ) -> np.ndarray:
+def direct_blocks_dense(n: int, strategy: AdversaryStrategy, theta,
+                        xs=None) -> np.ndarray:
     """Direct-protocol counterpart, where the sender transmits |x>_theta:
-    the amplitudes out[y, x, k] of U |x>_theta |0^anc>, split into the
-    adversary's outcome y and kept index k, so ||out[y, x]||^2 = p(y | x)."""
-    u, kept, anc = _checked_layout(n, strategy)
-    cols = np.arange(1 << n) << anc
-    return _wire_split((u[:, cols] @ product_basis_matrix(theta)).T,
-                       n + anc, kept)
+    the amplitudes out[y, i, k] of U |x>_theta |0^anc> for x = xs[i]
+    (every x by default), split into the adversary's outcome y and kept
+    index k, so ||out[y, i]||^2 = p(y | xs[i])."""
+    factors, kept, anc = strategy.dense_layout(n)
+    xs = range(1 << n) if xs is None else xs
+    return _apply(_sender_columns(n, anc, xs), kept, factors,
+                  [SINGLE_QUBIT_BASES[t] for t in theta] + [_I2] * anc)
 
 
 # ---------------------------------------------------------------------------

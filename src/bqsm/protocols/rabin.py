@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ..bits import bases_to_str, bits_to_int, bits_to_str
+from ..bits import bases_to_str, bits_to_int, bits_to_str, parity_u64
 from ..cqstate import CqState
 from ..errors import InputError, check_cap
 from ..hashing import HashFamily, fwht
@@ -89,9 +89,9 @@ def _rabin_adversarial(b, channel, strategy: AdversaryStrategy, n, seed,
     x = rng.integers(0, 2, size=n, dtype=np.uint8)
     r = "+" if rng.integers(2) == 0 else "x"
     x_int = bits_to_int(x)
-    theta = [r] * n
     # phase 1-2: adversary compresses and measures
-    p_y, _ = row_states(direct_blocks_dense(n, strategy, theta)[:, x_int])
+    p_y, _ = row_states(direct_blocks_dense(n, strategy, [r] * n,
+                                            [x_int])[:, 0])
     ys = np.nonzero(p_y)[0]
     probs = p_y[ys]
     y = int(ys[int(rng.choice(len(ys), p=probs / probs.sum()))])
@@ -178,17 +178,25 @@ def rabin_guess_probability(n: int, strategy: AdversaryStrategy,
     adversary's complete view (announcements plus retained register).
 
     Helstrom discrimination per classical block (r, y, f): b is masked by
-    f(x) = a.x, so its two states differ by
-    W(a) = sum_x (-1)^{a.x} p_x rho_x, one Walsh-Hadamard transform per
-    block. The hash mask averages ||W(a)||_1 over every a, the xor mask
-    takes a = 1^n.
+    f(x) = a.x, so its two states differ by W(a) = sum_x (-1)^{a.x} c_x
+    c_x^dagger, c_x = sqrt(P(r, y)) (V_r^dagger B_y)[x] the raw amplitudes.
+    The hash mask averages ||W(a)||_1 over every a, one Walsh-Hadamard
+    transform per stack of y blocks (chunked to the size of the amplitude
+    array); the xor mask takes a = 1^n, one parity-signed sum.
     """
+    blocks = epr_blocks_dense(n, strategy)
+    sign = 1.0 - 2.0 * parity_u64(np.arange(1 << n, dtype=np.uint64))
     advantage = 0.0
-    for _, _, p_ry, p_x, ops in rabin_exact_blocks(n, strategy):
-        spectrum = fwht(p_x[:, None, None] * ops)
+    for r in ("+", "x"):
+        c = sender_measurement_dense(blocks, [r] * n) \
+            * np.sqrt(0.5 * blocks.probs)[:, None, None]
         if mask == "xor":
-            spectrum = spectrum[-1:]
-        advantage += p_ry * batched_trace_norm(spectrum) / len(spectrum)
+            w = (c * sign[:, None]).swapaxes(1, 2) @ c.conj()
+            advantage += batched_trace_norm(w)
+            continue
+        for part in np.array_split(c, min(len(c), c.shape[-1])):
+            w = fwht(part[..., :, None] * part[..., None, :].conj(), axis=1)
+            advantage += batched_trace_norm(w) / len(sign)
     return float(0.5 + 0.5 * advantage)
 
 

@@ -37,19 +37,19 @@ def purification_gap(n: int, strategy: AdversaryStrategy, thetas) -> float:
     supplied basis strings (each taken with uniform weight).
 
     The blocks are classical in (theta, y, x) and each holds a pure state
-    on the kept register: a = sqrt(p_y) (V_theta^dagger B_y)[x] in the EPR
-    picture and b = 2^{-n/2} (U |x>_theta)[y] in the direct one. The gap
-    sums the rank-1 trace norms ||a a^dagger - b b^dagger||_1, so 0
-    certifies exact operational equivalence.
+    on the kept register, compared as raw amplitudes: a = sqrt(p_y)
+    (V_theta^dagger B_y)[x] in the EPR picture and b = 2^{-n/2}
+    (U |x>_theta)[y] in the direct one. The gap sums the rank-1 trace
+    norms ||a a^dagger - b b^dagger||_1, so 0 certifies exact operational
+    equivalence.
     """
     total = 0.0
     for theta in thetas:
         blocks = epr_blocks_dense(n, strategy)
-        p_x, unit = row_states(sender_measurement_dense(blocks, theta))
-        p_y, direct = row_states(direct_blocks_dense(n, strategy, theta))
+        direct = direct_blocks_dense(n, strategy, theta) * 2.0 ** (-n / 2.0)
         epr = np.zeros_like(direct)
-        epr[blocks.ys] = unit * np.sqrt(blocks.probs[:, None] * p_x)[..., None]
-        direct *= np.sqrt(p_y * 2.0 ** (-n))[..., None]
+        epr[blocks.ys] = sender_measurement_dense(blocks, theta) \
+            * np.sqrt(blocks.probs)[:, None, None]
         total += 0.5 * float(rank1_trace_norm(epr, direct).sum())
     return total / len(thetas)
 

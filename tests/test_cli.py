@@ -167,6 +167,12 @@ class TestProcessInterface:
          None),
         (("uncertainty-two-basis", "trials=0"), 2, "trials=0"),
         (("uncertainty-multi-mub", "trials=0"), 2, "trials=0"),
+        (("second-relation", "trials=0"), 2, "trials=0"),
+        (("second-relation", "trials=-1"), 2, "trials=-1"),
+        # an empty sweep certifies nothing
+        (("lhl-classical", "distributions=0"), 2, "distributions=0"),
+        (("maassen-uffink", "trials=0"), 2, "trials=0"),
+        (("uncertainty-tight-cases", "n_max=1"), 2, "n_max=1"),
     ])
     def test_library_errors_exit_2_with_json(self, params, code, named,
                                              tmp_path):

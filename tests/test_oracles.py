@@ -17,12 +17,13 @@ from bqsm.cqstate import (CqState, pa_distance, pa_output_state,
                           qmin_entropy_rel)
 from bqsm.hashing import HashFamily, enumerate_ndlf
 from bqsm.protocols import (bell_pairwise_xor, breitbart_strategy,
-                            full_memory, measure_fixed, run_rabin_ot,
-                            sender_security_distance, store_prefix)
+                            custom_compression, full_memory, measure_fixed,
+                            run_rabin_ot, sender_security_distance,
+                            store_prefix)
 from bqsm.protocols.channel import PERFECT
 from bqsm.protocols.rabin import rabin_guess_probability
-from bqsm.qstate import (SINGLE_QUBIT_BASES, product_basis_matrix,
-                         random_density, trace_norm)
+from bqsm.qstate import (SINGLE_QUBIT_BASES, bell_basis, haar_unitary,
+                         product_basis_matrix, random_density, trace_norm)
 
 
 def _kept_ops(theta, kept_idx):
@@ -114,9 +115,9 @@ _LABELS = ("+", "x", "circ", "breitbart")
 
 
 @hst.composite
-def _product_strategies(draw):
-    """(n, strategy) for a random product strategy on n <= 5 qubits."""
-    n = draw(hst.integers(1, 5))
+def _product_strategies(draw, max_n=5):
+    """(n, strategy) for a random product strategy on n <= max_n qubits."""
+    n = draw(hst.integers(1, max_n))
     kind = draw(hst.sampled_from(("store_prefix", "measure_fixed",
                                   "breitbart", "full_memory")))
     if kind == "store_prefix":
@@ -159,6 +160,110 @@ class TestProductTableProperty:
             proj = unit[..., :, None] * unit[..., None, :].conj()
             ops = _kept_ops(theta, kept_idx)[kappa]
             assert np.abs(proj - ops)[p_x > 0].max() <= 1e-12
+
+
+def _kron_unitary(n, strategy):
+    """The strategy's whole compression unitary as one explicit Kronecker
+    chain over its wires, with its kept wires and ancilla count."""
+    if strategy.kind == "custom":
+        u, kept, anc = strategy.params
+        return np.asarray(u, dtype=complex), tuple(kept), anc
+    if strategy.kind == "bell_pairwise_xor":
+        mats, kept = [bell_basis().matrix.conj().T] * (n // 2), ()
+    else:
+        plan = strategy.product_plan(n)
+        mats = [np.eye(2) if step[0] == "keep"
+                else SINGLE_QUBIT_BASES[step[1]].conj().T for step in plan]
+        kept = tuple(i for i, step in enumerate(plan) if step[0] == "keep")
+    u = np.ones((1, 1), dtype=complex)
+    for m in mats:
+        u = np.kron(u, m)
+    return u, kept, 0
+
+
+def _split_by_index(psi, total, kept):
+    """out[y, i, k] = psi[i, m], with y the bits of m on the measured wires
+    (wire order) and k its bits on the kept wires (`kept` order), read off
+    m one wire at a time."""
+    measured = [w for w in range(total) if w not in kept]
+    m = np.arange(1 << total)
+
+    def pack(wires):
+        out = np.zeros_like(m)
+        for w in wires:
+            out = (out << 1) | ((m >> (total - 1 - w)) & 1)
+        return out
+
+    out = np.zeros((1 << len(measured), len(psi), 1 << len(kept)),
+                   dtype=complex)
+    out[pack(measured)[:, None], np.arange(len(psi)),
+        pack(kept)[:, None]] = psi.T
+    return out
+
+
+@hst.composite
+def _dense_cases(draw):
+    """(n, strategy, theta, x) over product plans in every single-qubit
+    basis, pairwise Bell measurements and Haar custom unitaries with 0-2
+    ancillas and a random ordered kept subset, with per-qubit sender bases
+    and one sender value x."""
+    n = draw(hst.integers(1, 6))
+    kind = draw(hst.sampled_from(("product", "bell", "custom")))
+    if kind == "product":
+        n, strategy = draw(_product_strategies(6))
+    elif kind == "bell":
+        n, strategy = 2 * draw(hst.integers(1, 3)), bell_pairwise_xor()
+    else:
+        anc = draw(hst.integers(0, min(2, 7 - n)))
+        wires = draw(hst.permutations(range(n + anc)))
+        kept = wires[:draw(hst.integers(0, n + anc))]
+        u = haar_unitary(1 << (n + anc),
+                         np.random.default_rng(draw(hst.integers(0, 999))))
+        strategy = custom_compression(u, kept, anc)
+    theta = draw(hst.lists(hst.sampled_from(_LABELS), min_size=n,
+                           max_size=n))
+    return n, strategy, theta, draw(hst.integers(0, (1 << n) - 1))
+
+
+class TestDenseEngineProperty:
+    """The factored dense engine against the explicit construction: the
+    whole unitary U as a Kronecker chain, V_theta = kron of the sender's
+    bases, and EPR blocks psi[x] = 2^{-n/2} U |x>|0^anc>, sender
+    measurement V_theta^dagger B_y and direct amplitudes
+    U |x>_theta |0^anc>, split wire by wire."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_dense_cases())
+    @example((4, bell_pairwise_xor(), ["x", "circ", "+", "breitbart"], 6))
+    @example((3, measure_fixed(["circ", "x", "breitbart"]),
+              ["circ", "x", "+"], 5))
+    def test_engine_matches_kron_construction(self, case):
+        from bqsm.protocols.adversary import (direct_blocks_dense,
+                                              epr_blocks_dense,
+                                              sender_measurement_dense)
+        n, strategy, theta, x = case
+        u, kept, anc = _kron_unitary(n, strategy)
+        total = n + anc
+        cols = np.arange(1 << n) << anc
+        v = product_basis_matrix(theta)
+
+        split = _split_by_index(u[:, cols].T * 2.0 ** (-n / 2.0), total,
+                                kept)
+        p = (np.abs(split) ** 2).sum(axis=(1, 2))
+        ys = np.nonzero(p > 1e-15)[0]
+        amps = split[ys] / np.sqrt(p[ys])[:, None, None]
+        blocks = epr_blocks_dense(n, strategy)
+        assert blocks.ys == ys.tolist()
+        assert np.abs(blocks.probs - p[ys]).max() <= 1e-12
+        assert np.abs(blocks.amps - amps).max() <= 1e-12
+        got = sender_measurement_dense(blocks, theta)
+        assert np.abs(got - v.conj().T @ amps).max() <= 1e-12
+
+        direct = _split_by_index((u[:, cols] @ v).T, total, kept)
+        assert np.abs(direct_blocks_dense(n, strategy, theta)
+                      - direct).max() <= 1e-12
+        one = direct_blocks_dense(n, strategy, theta, [x])
+        assert np.abs(one - direct[:, x:x + 1]).max() <= 1e-12
 
 
 @hst.composite
