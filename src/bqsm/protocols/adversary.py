@@ -181,7 +181,8 @@ def _apply(a: np.ndarray, kept, factors=(), bases=()) -> np.ndarray:
         w += k
     for k, m in blocks:
         a = a.reshape(1 << k, -1)
-        a = (a if np.array_equal(m, np.eye(1 << k)) else m @ a).T
+        identity = k <= _BLOCK and np.array_equal(m, np.eye(1 << k))
+        a = (a if identity else m @ a).T
     measured = [w for w in range(total) if w not in kept]
     wires = a.reshape((rows,) + (2,) * total).transpose(
         [1 + w for w in measured] + [0] + [1 + w for w in kept])
@@ -222,11 +223,11 @@ def sender_measurement_dense(blocks: DenseBlocks, theta) -> np.ndarray:
     """Measure the sender register of every y-block in the per-qubit basis
     theta: c[y, x, k] = (V_theta^dagger B_y)[x, k] over the kept outcomes
     y of `blocks.ys`, so ||c[y, x]||^2 = p(x | y)."""
-    ys, dim, dim_k = blocks.amps.shape
-    rows = np.moveaxis(blocks.amps, 1, 0).reshape(dim, ys * dim_k)
+    count, dim, dim_k = blocks.amps.shape
+    rows = np.moveaxis(blocks.amps, 1, 0).reshape(dim, count * dim_k)
     out = _apply(rows, (), bases=[SINGLE_QUBIT_BASES[t].conj().T
                                   for t in theta])
-    return out.reshape(dim, ys, dim_k).swapaxes(0, 1)
+    return out.reshape(dim, count, dim_k).swapaxes(0, 1)
 
 
 def direct_blocks_dense(n: int, strategy: AdversaryStrategy, theta,

@@ -37,11 +37,10 @@ def purification_gap(n: int, strategy: AdversaryStrategy, thetas) -> float:
     supplied basis strings (each taken with uniform weight).
 
     The blocks are classical in (theta, y, x) and each holds a pure state
-    on the kept register, compared as raw amplitudes: a = sqrt(p_y)
-    (V_theta^dagger B_y)[x] in the EPR picture and b = 2^{-n/2}
-    (U |x>_theta)[y] in the direct one. The gap sums the rank-1 trace
-    norms ||a a^dagger - b b^dagger||_1, so 0 certifies exact operational
-    equivalence.
+    on the kept register: a = sqrt(p_y) (V_theta^dagger B_y)[x] in the EPR
+    picture and b = 2^{-n/2} (U |x>_theta)[y] in the direct one. The gap
+    sums the rank-1 trace norms ||a a^dagger - b b^dagger||_1, so 0
+    certifies exact operational equivalence.
     """
     total = 0.0
     for theta in thetas:
