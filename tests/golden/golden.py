@@ -21,8 +21,8 @@ is 1 when any spec changed, else 0.
 Groups: `registry` (every experiment at its defaults, seed 1616),
 `workloads` (every `perfbench/workloads.py` spec at its workload seed)
 and `grids` (parameter grids around privacy amplification, the
-uncertainty relations, the QKD rate check, sender security and the dense
-adversary engine).
+uncertainty relations, the QKD rate check, sender security, the dense
+adversary engine and the classical OT criteria).
 """
 
 import os
@@ -90,8 +90,10 @@ def _grid_specs():
             if eve_param is not None:
                 params["eve_param"] = eve_param
             add("qkd-rate-check", **params)
+    for eve_param in (3, 4, 6):
+        add("qkd-rate-check", m=4, eve="store_subset", eve_param=eve_param)
     for strategy in ("store_prefix", "measure_fixed", "breitbart"):
-        for n in (3, 4, 5):
+        for n in (3, 4, 5, 6, 7):
             add("pa-quantum", n=n, q=1, strategy=strategy, ell=1)
     add("pa-quantum", n=4, q=2, ell=2)
     for protocol in ("rabin", "ot12"):
@@ -100,6 +102,13 @@ def _grid_specs():
                 add("sender-security", protocol=protocol, n=n, q=q)
     for n in (3, 4, 5):
         add("sender-security", protocol="rabin", n=n, strategy="breitbart")
+    for q in (1, 2):
+        for n in (6, 7, 8, 9):
+            add("sender-security", protocol="rabin", n=n, q=q)
+    for ell in (1, 2, 3):
+        add("ndlf-perturbation", ell=ell, trials=100)
+    for n_w in (2, 3):
+        add("xor-characterization", n_w=n_w)
     for n in range(2, 10):
         add("purification-equivalence", n=n)
     for n in (2, 4, 6, 8):
