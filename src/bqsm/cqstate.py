@@ -12,11 +12,9 @@ stay exact at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bits import hamming
 from .entropy import (Distribution, JointDistribution, hamming_ball_size,
                       smooth_min_entropy, renyi_entropy)
 from .errors import InputError, check_cap
@@ -24,45 +22,48 @@ from .hashing import HashFamily, fwht
 from .qstate import DensityOperator, batched_trace_norm, trace_norm
 
 _CLASS_CELLS = 1 << 12  # cells per chunk: 64 KiB at most, reused heap memory
+_U_CHUNK_CELLS = 1 << 22  # cells of a (u, x, d, d) stack in pa_distance
 
 
-def _as_op(op) -> np.ndarray:
-    if isinstance(op, DensityOperator):
-        return op.matrix
-    return np.asarray(op, dtype=complex)
-
-
-@dataclass
 class CqState:
     """Classical register(s) with per-outcome conditional quantum states.
 
-    Entry i carries classical value (x[i], u[i]) with probability p[i] and
-    conditional operator ops[i] on 2^q dimensions. x[i] is a packed int;
-    u is free-form side information ("" when absent). (x, u) pairs must be
-    unique.
+    Entry i carries the classical value (x[i], labels[u[i]]) with
+    probability p[i] and a state on 2^q dimensions: x is an (N,) int array
+    of packed values, u an (N,) index into `labels`, the side information
+    sorted by repr ("" when absent); (x, u) pairs are unique. Pure states
+    are kept as unit amplitude rows (N, d), mixed ones as operators.
+
+    `CqState(x, p, ops, q, u)` takes per-entry operators and labels; array
+    constructors pass `rows` or `ops` and u as an index into any `labels`
+    sequence, which is then sorted with unused labels dropped.
     """
 
-    x: tuple
-    p: np.ndarray
-    ops: tuple
-    q: int
-    u: tuple = field(default=None)
-
-    def __post_init__(self):
-        self.x = tuple(self.x)
-        if self.u is None:
-            self.u = ("",) * len(self.x)
-        self.u = tuple(self.u)
-        self.p = np.asarray(self.p, dtype=float)
-        self.ops = tuple(_as_op(o) for o in self.ops)
-        if not (len(self.x) == len(self.u) == len(self.p) == len(self.ops)):
+    def __init__(self, x, p, ops=None, q: int = 0, u=None, *, rows=None,
+                 labels=None):
+        if labels is None:
+            index: dict = {}
+            u = [index.setdefault(v, len(index))
+                 for v in (("",) * len(x) if u is None else u)]
+            labels = tuple(index)
+        order = np.argsort([repr(v) for v in labels])
+        used, self.u = np.unique(np.argsort(order)[np.asarray(u, np.intp)],
+                                 return_inverse=True)
+        self.labels = tuple(labels[i] for i in order[used])
+        self.x = np.asarray(x)
+        self.p = np.asarray(p, dtype=float)
+        self.q = q
+        self.rows = None if rows is None else np.asarray(rows, dtype=complex)
+        self._ops = None if ops is None else np.asarray(ops, dtype=complex)
+        n, form = len(self.x), self._ops if rows is None else self.rows
+        if not len(self.u) == len(self.p) == n:
             raise InputError("misaligned CqState fields")
-        if len(set(zip(self.x, self.u))) != len(self.x):
+        if form.shape != (n,) + (self.dim_e,) * (2 if rows is None else 1):
+            raise InputError("conditional operator dimension mismatch")
+        if self.x.dtype.kind not in "iu":
+            raise InputError("X values must be packed ints")
+        if np.unique(self.x * len(self.labels) + self.u).size != n:
             raise InputError("duplicate classical outcomes")
-        d = 2 ** self.q
-        for o in self.ops:
-            if o.shape != (d, d):
-                raise InputError("conditional operator dimension mismatch")
         if (self.p < 0).any():
             raise InputError("negative probabilities")
         if abs(self.p.sum() - 1.0) > 1e-9:
@@ -72,42 +73,47 @@ class CqState:
     def dim_e(self) -> int:
         return 2 ** self.q
 
+    def _scaled(self, idx=slice(None), scale=None) -> np.ndarray:
+        """scale[i] rho_i over the entries idx as an (k, d, d) stack, scale
+        p by default: the one place that reads the stored form."""
+        s = (self.p if scale is None else scale)[idx][:, None, None]
+        if self.rows is None:
+            return self._ops[idx] * s
+        r = self.rows[idx]
+        return r[:, :, None] * r[:, None, :].conj() * s
+
+    @property
+    def ops(self) -> np.ndarray:
+        """The conditional operators as an (N, d, d) stack."""
+        return self._scaled(scale=np.ones(len(self.p)))
+
     def classical_joint(self) -> JointDistribution:
         """P_{XU} as an X x U joint distribution."""
-        xs = sorted(set(self.x))
-        us = sorted(set(self.u), key=repr)
-        m = np.zeros((len(xs), len(us)))
-        xi = {v: i for i, v in enumerate(xs)}
-        ui = {v: i for i, v in enumerate(us)}
-        for xv, uv, pv in zip(self.x, self.u, self.p):
-            m[xi[xv], ui[uv]] += pv
-        return JointDistribution([xs, us], m)
+        xs = np.unique(self.x)
+        m = np.zeros((len(xs), len(self.labels)))
+        m[np.searchsorted(xs, self.x), self.u] = self.p
+        return JointDistribution([xs.tolist(), self.labels], m)
 
     def rho_e(self) -> np.ndarray:
         """Reduced state of E."""
-        out = np.zeros((self.dim_e, self.dim_e), dtype=complex)
-        for pv, o in zip(self.p, self.ops):
-            out += pv * o
-        return out
+        return self._scaled().sum(axis=0)
 
     def assemble(self) -> DensityOperator:
         """Block-diagonal density operator sum_i p_i |i><i| (x) rho_i, with
         classical outcomes in entry order."""
-        n_cls = len(self.x)
-        d = n_cls * self.dim_e
-        check_cap("cq-dimension", "dim", d)
-        out = np.zeros((d, d), dtype=complex)
-        de = self.dim_e
-        for i, (pv, o) in enumerate(zip(self.p, self.ops)):
-            out[i * de:(i + 1) * de, i * de:(i + 1) * de] = pv * o
-        return DensityOperator(out, check=False)
+        n_cls, de = len(self.x), self.dim_e
+        check_cap("cq-dimension", "dim", n_cls * de)
+        out = np.zeros((n_cls, de, n_cls, de), dtype=complex)
+        diag = np.arange(n_cls)
+        out[diag, :, diag, :] = self._scaled()
+        return DensityOperator(out.reshape(n_cls * de, n_cls * de),
+                               check=False)
 
     @staticmethod
     def classical(dist: Distribution) -> "CqState":
         """Trivial quantum register."""
-        one = np.array([[1.0 + 0j]])
-        return CqState(tuple(dist.outcomes), np.asarray(dist.mass, float),
-                       tuple(one for _ in dist.outcomes), 0)
+        return CqState(np.asarray(dist.outcomes), dist.mass,
+                       rows=np.ones((len(dist.outcomes), 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +169,9 @@ def pgm_guess(state: CqState) -> float:
     tol = 1e-12 * max(w.max(), 1.0)
     pos = w > tol
     inv_sqrt = (v[:, pos] / np.sqrt(w[pos])) @ v[:, pos].conj().T
-    total = 0.0
-    for pv, op in zip(state.p, state.ops):
-        e = inv_sqrt @ (pv * op) @ inv_sqrt
-        total += pv * float(np.trace(e @ op).real)
-    return total
+    scaled = state._scaled()
+    e = inv_sqrt @ scaled @ inv_sqrt
+    return float(np.einsum("nij,nji->", e, scaled).real)
 
 
 def qmin_entropy(state: CqState) -> tuple[float, float]:
@@ -208,37 +212,46 @@ def _domain_index(xs, family: HashFamily) -> np.ndarray:
 
 def pa_output_state(state: CqState, family: HashFamily) -> CqState:
     """Exact hashed state over ((F(X), F), U) x E, averaging over the whole
-    family (capacity-capped)."""
-    _domain_index(state.x, family)
-    de = state.dim_e
-    acc: dict = {}
-    weight = 1.0 / family.size
-    for idx, member in enumerate(family.members()):
-        for xv, uv, pv, op in zip(state.x, state.u, state.p, state.ops):
-            key = (family.eval(member, xv), (idx, uv))
-            if key not in acc:
-                acc[key] = [0.0, np.zeros((de, de), dtype=complex)]
-            acc[key][0] += weight * pv
-            acc[key][1] += weight * pv * op
-    xs, us, ps, ops = [], [], [], []
-    for (zv, uv), (pv, block) in sorted(
-            acc.items(), key=lambda kv: (kv[0][0], repr(kv[0][1]))):
-        xs.append(zv)
-        us.append(uv)
-        ps.append(pv)
-        ops.append(block / pv if pv > 0 else np.eye(de) / de)
-    return CqState(tuple(xs), np.asarray(ps), tuple(ops), state.q, tuple(us))
+    family (capacity-capped): one entry per (z, (f, u)) that an x reaches,
+    in (f, u, z) order."""
+    x_idx = _domain_index(state.x, family)
+    n_u, n_out, de = len(state.labels), 1 << family.ell, state.dim_e
+    members = np.arange(family.size)[:, None]
+    key = ((members * n_u + state.u) * n_out
+           + family.eval_table()[:, x_idx]).ravel()
+    keys, inv = np.unique(key, return_inverse=True)
+    w = state.p / family.size
+    p_out = np.bincount(inv, np.tile(w, family.size), len(keys))
+    blocks = np.zeros((len(keys), de, de), dtype=complex)
+    np.add.at(blocks, inv, np.tile(state._scaled(scale=w),
+                                   (family.size, 1, 1)))
+    mixed = np.broadcast_to(np.eye(de, dtype=complex) / de, blocks.shape)
+    ops = np.divide(blocks, p_out[:, None, None], out=mixed.copy(),
+                    where=p_out[:, None, None] > 0)
+    fu, z = np.divmod(keys, n_out)
+    pairs, u_out = np.unique(fu, return_inverse=True)
+    labels = [(int(f), state.labels[uv])
+              for f, uv in zip(*np.divmod(pairs, n_u))]
+    return CqState(z, p_out, ops, state.q, u_out, labels=labels)
 
 
-def _blocks_by_u(state: CqState):
-    """Group entries by the side register; yields (u, xs, ps, ops)."""
-    groups: dict = {}
-    for xv, uv, pv, op in zip(state.x, state.u, state.p, state.ops):
-        groups.setdefault(uv, []).append((xv, pv, op))
-    for uv in sorted(groups, key=repr):
-        entries = groups[uv]
-        yield uv, [e[0] for e in entries], np.array([e[1] for e in entries]), \
-            [e[2] for e in entries]
+def _blocks_by_u(state: CqState) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): the entries of u-block k are order[starts[k]:
+    starts[k + 1]], blocks in label order, entries in entry order."""
+    order = np.argsort(state.u, kind="stable")
+    return order, np.searchsorted(state.u[order],
+                                  np.arange(len(state.labels) + 1))
+
+
+def _h_min(state: CqState, epsilon: float) -> float:
+    """H_min^eps(X|U) of the classical part. Unsmoothed it is -log of the
+    largest P(x|u), read off the entries, so no dense X x U joint is built;
+    smoothing water-fills that joint (`smooth_min_entropy`)."""
+    if epsilon:
+        return smooth_min_entropy(state.classical_joint(), epsilon)[0]
+    pos = state.p > 0
+    p_u = np.bincount(state.u, state.p, len(state.labels))
+    return -math.log2(float((state.p[pos] / p_u[state.u[pos]]).max()))
 
 
 def pa_distance(state: CqState, family: HashFamily,
@@ -253,18 +266,23 @@ def pa_distance(state: CqState, family: HashFamily,
     The average runs over row-space classes, not members: a rank-r member
     has its row space's canonical blocks, relabelled, plus 2^l - 2^r zero
     blocks, and one class stands for prod_{i<r} (2^l - 2^i) members (times
-    2^l offsets when affine); see `HashFamily.row_space_classes`.
+    2^l offsets when affine); see `HashFamily.row_space_classes`. It is a
+    sum over u, taken over dense (u, 2^n, d, d) stacks of consecutive
+    u-blocks of about `_U_CHUNK_CELLS` cells each.
     """
     x_idx = _domain_index(state.x, family)
-    u_of = {uv: i for i, uv in enumerate(sorted(set(state.u), key=repr))}
-    stack = np.zeros((len(u_of), 1 << family.n, state.dim_e, state.dim_e),
-                     dtype=complex)
-    stack[[u_of[uv] for uv in state.u], x_idx] = \
-        np.asarray(state.ops) * state.p[:, None, None]
-    exact = _class_average(stack, family)
-    h_eps, _ = smooth_min_entropy(state.classical_joint(), epsilon_smooth)
-    bound = 0.5 * 2.0 ** (-0.5 * (h_eps - state.q - family.ell)) \
-        + epsilon_smooth
+    de = state.dim_e
+    order, starts = _blocks_by_u(state)
+    step = max(1, _U_CHUNK_CELLS // (de * de << family.n))
+    exact = 0.0
+    for lo in range(0, len(state.labels), step):
+        hi = min(lo + step, len(state.labels))
+        idx = order[starts[lo]:starts[hi]]
+        stack = np.zeros((hi - lo, 1 << family.n, de, de), dtype=complex)
+        stack[state.u[idx] - lo, x_idx[idx]] = state._scaled(idx)
+        exact += _class_average(stack, family)
+    bound = 0.5 * 2.0 ** (-0.5 * (_h_min(state, epsilon_smooth) - state.q
+                                  - family.ell)) + epsilon_smooth
     return exact, bound
 
 
@@ -303,17 +321,20 @@ def pa_distance_slow(state: CqState, family: HashFamily,
     n_out = 1 << ell
     weight = 1.0 / family.size
     terms = []
-    for uv, xs, ps, ops in _blocks_by_u(state):
+    order, starts = _blocks_by_u(state)
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        idx = order[lo:hi]
+        xs, scaled = state.x[idx].tolist(), state._scaled(idx)
         for member in family.members():
             blocks = np.zeros((n_out, de, de), dtype=complex)
-            for xi, pv, op in zip(xs, ps, ops):
-                blocks[family.eval(member, xi)] += pv * op
+            for xi, op in zip(xs, scaled):
+                blocks[family.eval(member, xi)] += op
             avg = blocks.sum(axis=0) / n_out
             terms += [0.5 * weight * trace_norm(blocks[z] - avg)
                       for z in range(n_out)]
     exact = math.fsum(terms)
-    h_eps, _ = smooth_min_entropy(state.classical_joint(), epsilon_smooth)
-    bound = 0.5 * 2.0 ** (-0.5 * (h_eps - state.q - ell)) + epsilon_smooth
+    bound = 0.5 * 2.0 ** (-0.5 * (_h_min(state, epsilon_smooth) - state.q
+                                  - ell)) + epsilon_smooth
     return exact, bound
 
 
@@ -342,14 +363,19 @@ def guess_within_ball(state: CqState, strategy, n: int, delta: float,
     radius = int(math.floor(delta * n))
     ball, _ = hamming_ball_size(n, radius)
     success = 0.0
-    for xv, uv, pv, op in zip(state.x, state.u, state.p, state.ops):
+    order, starts = _blocks_by_u(state)
+    for uv, lo, hi in zip(state.labels, starts[:-1], starts[1:]):
+        idx = order[lo:hi]
+        scaled = state._scaled(idx)
         for element, guess in strategy(uv):
             if guess >> n:
                 raise InputError(f"guess {guess} has more than n={n} bits")
-            if hamming(guess, xv) <= radius:
-                success += pv * float(np.trace(
-                    np.asarray(element, dtype=complex) @ op).real)
-    h_eps, _ = smooth_min_entropy(state.classical_joint(), epsilon_smooth)
-    bound = 2.0 ** (-0.5 * (h_eps - state.q - 1) + math.log2(ball)) \
-        + 2.0 * epsilon_smooth * ball
+            diff = (state.x[idx] ^ guess).astype(">u8").view(np.uint8)
+            near = np.unpackbits(diff.reshape(-1, 8), axis=1).sum(axis=1) \
+                <= radius
+            success += float(np.einsum(
+                "ij,kji->", np.asarray(element, dtype=complex),
+                scaled[near]).real)
+    bound = 2.0 ** (-0.5 * (_h_min(state, epsilon_smooth) - state.q - 1)
+                    + math.log2(ball)) + 2.0 * epsilon_smooth * ball
     return success, bound

@@ -147,29 +147,26 @@ def _canonical_guess(strategy, n, r, y, member, fam, e, mask, x_true):
 
 def rabin_exact_blocks(n: int, strategy: AdversaryStrategy):
     """EPR-picture blocks for the erasure protocol: yields
-    (r, y, P(r, y), p_x_given_ry, kept_ops), where kept_ops[x] is the
-    normalized retained-register state (zero where p_x = 0)."""
+    (r, y, P(r, y), p_x_given_ry, rows), where rows[x] is the unit amplitude
+    row of the retained register's pure state (zero where p_x = 0)."""
     blocks = epr_blocks_dense(n, strategy)
     for r in ("+", "x"):
         p_x, unit = row_states(sender_measurement_dense(blocks, [r] * n))
         for y, p_y, p, u in zip(blocks.ys, blocks.probs, p_x, unit):
-            yield r, y, 0.5 * p_y, p, u[:, :, None] * u[:, None, :].conj()
+            yield r, y, 0.5 * p_y, p, u
 
 
 def rabin_cq_state(q: int, blocks, p_total: float = 1.0) -> CqState:
     """The cq-state of the packed X against the adversary's view
     U = (r, y) and kept register: one entry per x with p_x > 0 in each
-    (r, y, P(r, y), p_x_given_ry, kept_ops) block of `rabin_exact_blocks`,
+    (r, y, P(r, y), p_x_given_ry, rows) block of `rabin_exact_blocks`,
     with probabilities divided by p_total."""
-    xs, us, ps, ops = [], [], [], []
-    for r, y, p_ry, p_x, op in blocks:
-        for x in np.nonzero(p_x > 0)[0].tolist():
-            xs.append(x)
-            us.append((r, int(y)))
-            ps.append(p_ry * p_x[x])
-            ops.append(op[x])
-    return CqState(tuple(xs), np.asarray(ps) / p_total, tuple(ops), q,
-                   tuple(us))
+    r, y, p_ry, p_x, rows = zip(*blocks)
+    p_x = np.stack(p_x)
+    b, x = np.nonzero(p_x > 0)
+    return CqState(x, np.asarray(p_ry)[b] * p_x[b, x] / p_total, q=q, u=b,
+                   rows=np.stack(rows)[b, x],
+                   labels=[(rv, int(yv)) for rv, yv in zip(r, y)])
 
 
 def rabin_guess_probability(n: int, strategy: AdversaryStrategy,

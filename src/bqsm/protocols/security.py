@@ -218,8 +218,8 @@ def _rabin_sender_security(strategy, n, lam) -> dict:
     q = strategy.memory_qubits(n)
     lam = lam if lam is not None else _pick_lambda(q, n)
     per_y: dict = {}
-    for r, y, p_ry, p_x, ops in rabin_exact_blocks(n, strategy):
-        per_y.setdefault(y, {})[r] = (p_ry, p_x, ops)
+    for r, y, p_ry, p_x, rows in rabin_exact_blocks(n, strategy):
+        per_y.setdefault(y, {})[r] = (p_ry, p_x, rows)
     chosen = []
     p_event = 0.0
     links = {"event_prob": math.inf, "branch_entropy": math.inf}
@@ -240,9 +240,9 @@ def _rabin_sender_security(strategy, n, lam) -> dict:
                 continue
             links["branch_entropy"] = min(links["branch_entropy"],
                                           h - lam * n)
-            p_ry, p_x, ops = per_r[r]
+            p_ry, p_x, rows = per_r[r]
             p_event += p_ry * prob
-            chosen.append((r, y, p_ry, np.where(keep, p_x, 0.0), ops))
+            chosen.append((r, y, p_ry, np.where(keep, p_x, 0.0), rows))
     state = rabin_cq_state(q, chosen, p_event)
     fam = HashFamily(n, 1, "linear")
     exact, bound = pa_distance(state, fam, 0.0)

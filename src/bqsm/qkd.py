@@ -8,6 +8,7 @@ key-distance check against small eavesdroppers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -191,9 +192,13 @@ def rate_bound_check(config: QkdConfig, eve: Eavesdropper, m: int,
     labels = ALPHABETS[config.alphabet]
     theta = [labels[int(rng.integers(len(labels)))] for _ in range(m)]
     q = eve.q(m)
-    stored = set(range(q)) if eve.kind == "store_subset" else set()
-    # per-symbol eavesdropper tables
-    per_symbol = []
+    # the ccq-state over x in {0,1}^m: one entry per (x, z) with P > 0, z
+    # the intercept-resend outcomes (first symbol's most significant); a
+    # syndrome announcement joins z in U. Stored qubits keep amplitude
+    # rows, padded with I/k when q exceeds the m symbols.
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    weight = np.ones((1 << m, 1))
+    rows = np.ones((1 << m, 1), dtype=complex)
     for i in range(m):
         v = SINGLE_QUBIT_BASES[theta[i]]
         if eve.kind == "intercept_resend":
@@ -201,39 +206,25 @@ def rate_bound_check(config: QkdConfig, eve: Eavesdropper, m: int,
             # z ~ |<w_z|v_x>|^2; Bob's error folded into the channel noise
             tab = np.array([[abs(np.vdot(w[:, z], v[:, x])) ** 2 / 2.0
                              for x in range(2)] for z in range(2)])
-            per_symbol.append(("cls", tab))
-        elif eve.kind == "store_subset" and i in stored:
-            ops = [np.outer(v[:, x], v[:, x].conj()) for x in range(2)]
-            per_symbol.append(("qub", ops))
-        else:
-            per_symbol.append(("none", None))
-    # assemble the ccq-state over x in {0,1}^m; a syndrome announcement
-    # joins the classical side information
-    xs, us, ps, ops = [], [], [], []
-    dim = 1 << q
-    for x in range(1 << m):
-        bits = [(x >> (m - 1 - i)) & 1 for i in range(m)]
-        syn = None if config.code is None \
-            else bits_to_str(config.code.syndrome_chunked(bits))
-        z_branches = [("", 1.0)]
-        op = np.array([[1.0 + 0j]])
-        for i in range(m):
-            kind, data = per_symbol[i]
-            if kind == "cls":
-                z_branches = [(zs + str(z), w * data[z, bits[i]] * 2.0)
-                              for zs, w in z_branches for z in range(2)]
-            elif kind == "qub":
-                op = np.kron(op, data[bits[i]])
-        for zs, w in z_branches:
-            if w <= 0:
-                continue
-            xs.append(x)
-            us.append(zs if syn is None else (zs, syn))
-            ps.append(w * 2.0 ** (-m))
-            full = op if op.shape[0] == dim else np.kron(
-                op, np.eye(dim // op.shape[0]) / (dim // op.shape[0]))
-            ops.append(full)
-    state = CqState(tuple(xs), np.asarray(ps), tuple(ops), q, tuple(us))
+            weight = (weight[:, :, None] * tab[:, bits[:, i]].T[:, None]
+                      * 2.0).reshape(1 << m, -1)
+        elif eve.kind == "store_subset" and i < q:
+            rows = (rows[:, :, None] * v[:, bits[:, i]].T[:, None]
+                    ).reshape(1 << m, -1)
+    xi, zi = np.nonzero(weight > 0)
+    u = zi
+    labels = ["".join(t) for t in
+              itertools.product("01", repeat=weight.shape[1].bit_length() - 1)]
+    if config.code is not None:
+        syn, syn_idx = np.unique([bits_to_str(config.code.syndrome_chunked(b))
+                                  for b in bits], return_inverse=True)
+        u = zi * len(syn) + syn_idx[xi]
+        labels = [(zs, sv) for zs in labels for sv in syn.tolist()]
+    pad = (1 << q) // rows.shape[1]
+    form = {"rows": rows[xi]} if pad == 1 else {"ops": np.kron(
+        rows[xi, :, None] * rows[xi, None, :].conj(), np.eye(pad) / pad)}
+    state = CqState(xi, weight[xi, zi] * 2.0 ** (-m), q=q, u=u,
+                    labels=labels, **form)
     ell = key_length(config, m)
     out = {"m": m, "theta": "".join(theta), "eve": str(eve),
            "key_length": ell, "q": q}

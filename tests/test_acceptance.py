@@ -233,7 +233,8 @@ def test_criterion_08_pa_against_quantum_memory():
             q = strat.memory_qubits(n)
             xs, us, ps, ops = [], [], [], []
             eye = np.eye(1 << q, dtype=complex) / (1 << q)
-            for r, y, p_ry, p_x, op in rabin_exact_blocks(n, strat):
+            for r, y, p_ry, p_x, rows in rabin_exact_blocks(n, strat):
+                op = rows[:, :, None] * rows[:, None, :].conj()
                 for x in np.nonzero(p_x > 0)[0]:
                     xs.append(int(x))
                     us.append((r, int(y)))

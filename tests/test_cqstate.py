@@ -221,8 +221,8 @@ class TestPrivacyAmplification:
         # the identity: z = x
         total = sum(out.p)
         assert total == pytest.approx(1.0)
-        zero_members = [i for i, (z, u) in enumerate(zip(out.x, out.u))
-                        if u[0] == 0]
+        zero_members = [i for i, u in enumerate(out.u)
+                        if out.labels[u][0] == 0]
         assert sum(out.p[i] for i in zero_members) == pytest.approx(0.5)
 
     def test_classical_lhl_cases(self):

@@ -615,7 +615,8 @@ class TestRabinSecurityOracle:
                 fam = HashFamily(n, 1, "linear")
                 members = [None] if mask == "xor" else list(fam.members())
                 terms = []
-                for _, _, p_ry, p_x, ops in rabin_exact_blocks(n, strategy):
+                for _, _, p_ry, p_x, rows in rabin_exact_blocks(n, strategy):
+                    ops = rows[:, :, None] * rows[:, None, :].conj()
                     for member in members:
                         for e in (0, 1):
                             diff = np.zeros_like(ops[0])
@@ -643,8 +644,9 @@ class TestRabinSecurityOracle:
             q = strategy.memory_qubits(n)
             lam = rec["lambda"]
             per_y = defaultdict(dict)
-            for r, y, p_ry, p_x, ops in rabin_exact_blocks(n, strategy):
-                per_y[y][r] = (p_ry, p_x, ops)
+            for r, y, p_ry, p_x, rows in rabin_exact_blocks(n, strategy):
+                per_y[y][r] = (p_ry, p_x,
+                               rows[:, :, None] * rows[:, None, :].conj())
             fam = HashFamily(n, 1, "linear")
             members = list(fam.members())
             blocks = defaultdict(
