@@ -22,16 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import parity, parity_u64
+from .bits import parity_u64
 from .entropy import (JointDistribution, conditional_renyi,
                       smooth_min_entropy, split_pointer)
 from .errors import CAPS, InputError, PromiseViolation, check_cap
-from .hashing import NDLF, HashFamily, enumerate_ndlf, fwht
-
-
-def _sign_vector(mask: int, ell: int) -> np.ndarray:
-    """(-1)^{<mask, s>} over all s, as ints."""
-    return np.array([1 - 2 * parity(mask & s) for s in range(1 << ell)])
+from .hashing import HashFamily, enumerate_ndlf, fwht
 
 
 class OtOutputDistribution:
@@ -69,29 +64,28 @@ class PointerExtension:
     epsilon: float
 
 
-def _beta_distance(mass: np.ndarray, beta: NDLF):
+def _linear_distances(mass: np.ndarray) -> np.ndarray:
     """delta(P_{beta(S0,S1) W}, unif . P_W) = 1/2 sum_w |sum_{s0,s1}
-    (-1)^beta mass|."""
-    u = _sign_vector(beta.a0, beta.ell)
-    v = _sign_vector(beta.a1, beta.ell)
-    tot = 0
-    for w in range(mass.shape[2]):
-        s = (u[:, None] * v[None, :] * mass[:, :, w]).sum()
-        tot += abs(s)
-    return tot / 2
+    (-1)^beta mass| of every linear beta = a0.s0 + a1.s1, as a table over
+    (a0, a1): one Walsh-Hadamard transform over the flattened (s0, s1)
+    axes, whose index a0 2^l + a1 signs cell s0 2^l + s1 by beta."""
+    size = mass.shape[0]
+    spectrum = fwht(mass.reshape(size * size, -1), axis=0)
+    return 0.5 * np.abs(spectrum).sum(axis=1).reshape(size, size)
 
 
 def xor_uniformity(dist: OtOutputDistribution):
     """Distance of the XOR of the two bits from uniform given W (l=1)."""
     if dist.ell != 1:
         raise InputError("XOR criterion applies to bit OT only")
-    return _beta_distance(dist.mass, NDLF(1, 1, 1))
+    return _linear_distances(dist.mass)[1, 1]
 
 
 def ndlf_security_distance(dist: OtOutputDistribution):
     """Max over all (2^l - 1)^2 NDLFs of the uniformity distance, plus the
     first function that attains it."""
-    return max(((_beta_distance(dist.mass, beta), beta)
+    table = _linear_distances(dist.mass)
+    return max(((table[beta.a0, beta.a1], beta)
                 for beta in enumerate_ndlf(dist.ell)), key=lambda vb: vb[0])
 
 
@@ -212,8 +206,9 @@ def one_of_n_condition(mass: np.ndarray, ell: int, epsilon: float):
     size = 1 << ell
     if m.shape[:n] != (size,) * n:
         raise InputError("mass axes do not match 2^l")
+    if ell < 1:
+        raise InputError("ell must be positive")
     worst = 0
-    betas = list(enumerate_ndlf(ell))
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -222,8 +217,7 @@ def one_of_n_condition(mass: np.ndarray, ell: int, epsilon: float):
             rest = [k for k in range(n) if k not in (i, j)]
             perm = [i, j] + rest + [n]
             t = np.transpose(m, perm).reshape(size, size, -1)
-            for beta in betas:
-                worst = max(worst, _beta_distance(t, beta))
+            worst = max(worst, _linear_distances(t)[1:, 1:].max())
     nu = epsilon / ((1 << (2 * ell)) * n * (n - 1))
     return worst, bool(worst <= nu)
 

@@ -1,13 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 from bqsm.classical_ot import (OtOutputDistribution, UotChannel,
-                               construct_pointer, min_pointer_epsilon_lp,
+                               _linear_distances, construct_pointer,
+                               min_pointer_epsilon_lp,
                                ndlf_security_distance, one_of_n_condition,
                                reduce_ot_from_uot,
                                sender_security_of_extension,
                                splitting_reduction, xor_uniformity)
 from bqsm.errors import CapacityError, InputError, PromiseViolation
+from bqsm.hashing import enumerate_ndlf
 
 
 def count_table(rng, shape):
@@ -72,6 +77,68 @@ class TestNdlfDistance:
         nd, beta = ndlf_security_distance(OtOutputDistribution(m, 2))
         assert nd == pytest.approx(0.5)
         assert beta.a0 == 0b10 and beta.a1 == 0b01
+
+
+def _sign_vector(mask: int, ell: int) -> np.ndarray:
+    """(-1)^{<mask, s>} over all s, as ints."""
+    return np.array([1 - 2 * (bin(mask & s).count("1") & 1)
+                     for s in range(1 << ell)])
+
+
+def beta_distance_oracle(mass, beta):
+    """The sign-vector sum that `_linear_distances` replaced: 1/2 sum_w
+    |sum_{s0,s1} (-1)^beta mass|, one NDLF at a time."""
+    u = _sign_vector(beta.a0, beta.ell)
+    v = _sign_vector(beta.a1, beta.ell)
+    tot = 0
+    for w in range(mass.shape[2]):
+        tot += abs((u[:, None] * v[None, :] * mass[:, :, w]).sum())
+    return tot / 2
+
+
+class TestLinearDistances:
+    @settings(max_examples=40, deadline=None)
+    @given(hst.integers(1, 3), hst.integers(1, 4), hst.integers(0, 2 ** 32),
+           hst.booleans())
+    @example(2, 3, 0, True)
+    @example(3, 2, 1, False)
+    def test_one_transform_matches_sign_vectors(self, ell, n_w, seed,
+                                                counts):
+        # on integer counts every sum is exact, so ties are exact too and
+        # the first maximiser in enumerate_ndlf order must agree
+        rng = np.random.default_rng(seed)
+        shape = (1 << ell, 1 << ell, n_w)
+        m = rng.integers(0, 3, shape).astype(float) if counts \
+            else rng.random(shape)
+        m[0, 0, 0] += 1
+        table = _linear_distances(m)
+        for beta in enumerate_ndlf(ell):
+            assert table[beta.a0, beta.a1] == pytest.approx(
+                beta_distance_oracle(m, beta), abs=1e-12, rel=0)
+        got, got_beta = ndlf_security_distance(
+            OtOutputDistribution(m, ell, normalized=False))
+        want, want_beta = max(((beta_distance_oracle(m, b), b)
+                               for b in enumerate_ndlf(ell)),
+                              key=lambda vb: vb[0])
+        assert got == pytest.approx(want, abs=1e-12, rel=0)
+        if counts:
+            assert got == want and got_beta == want_beta
+
+    @settings(max_examples=20, deadline=None)
+    @given(hst.integers(2, 4), hst.integers(1, 2), hst.integers(0, 2 ** 32))
+    def test_one_of_n_matches_sign_vectors(self, n, ell, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.random((1 << ell,) * n + (2,))
+        m /= m.sum()
+        want = 0
+        for i, j in itertools.permutations(range(n), 2):
+            rest = [k for k in range(n) if k not in (i, j)]
+            t = np.transpose(m, [i, j] + rest + [n]).reshape(
+                1 << ell, 1 << ell, -1)
+            want = max([want] + [beta_distance_oracle(t, b)
+                                 for b in enumerate_ndlf(ell)])
+        worst, _ = one_of_n_condition(m, ell, 0.1)
+        assert worst == pytest.approx(want, abs=1e-12, rel=0)
 
 
 class TestConstructPointer:
