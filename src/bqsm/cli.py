@@ -687,6 +687,13 @@ def main(argv=None) -> int:
             PromiseViolation) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
+    except MemoryError:
+        sizes = ", ".join(k for k, t in REGISTRY[spec.name][1].items()
+                          if t is int)
+        sys.stderr.write(json.dumps({"error": f"{spec.name} ran out of "
+                                     f"memory; lower its size parameter "
+                                     f"({sizes})"}) + "\n")
+        return 2
     _emit(result, spec)
     if result.get("violations", 0):
         sys.stderr.write(json.dumps(

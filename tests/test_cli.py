@@ -213,6 +213,23 @@ class TestProcessInterface:
         finally:
             climod.REGISTRY.pop("always-fails")
 
+    def test_memory_error_exits_2_with_json(self, monkeypatch, capsys):
+        # an allocation failure follows the exit-2 JSON error contract
+        from bqsm import cli as climod
+
+        def exhausted(seed, n=4, q=1):
+            raise MemoryError
+
+        monkeypatch.setitem(climod.REGISTRY, "pa-quantum",
+                            (exhausted, climod.REGISTRY["pa-quantum"][1]))
+        code = main(["-e", "pa-quantum", "--seed", "1", "-p", "n=12"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        error = json.loads(line)["error"]
+        assert error.startswith("pa-quantum ran out of memory")
+        assert "lower its size parameter (n, q, ell)" in error
+
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "spec.json"
         cfg.write_text(json.dumps({"experiment": "hd-table",
