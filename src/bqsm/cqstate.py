@@ -235,12 +235,11 @@ def pa_output_state(state: CqState, family: HashFamily) -> CqState:
     return CqState(z, p_out, ops, state.q, u_out, labels=labels)
 
 
-def _blocks_by_u(state: CqState) -> tuple[np.ndarray, np.ndarray]:
-    """(order, starts): the entries of u-block k are order[starts[k]:
-    starts[k + 1]], blocks in label order, entries in entry order."""
+def _blocks_by_u(state: CqState) -> list:
+    """The entry indices of each u-block, in label order."""
     order = np.argsort(state.u, kind="stable")
-    return order, np.searchsorted(state.u[order],
-                                  np.arange(len(state.labels) + 1))
+    return np.split(order, np.searchsorted(state.u[order],
+                                           np.arange(1, len(state.labels))))
 
 
 def _h_min(state: CqState, epsilon: float) -> float:
@@ -272,13 +271,13 @@ def pa_distance(state: CqState, family: HashFamily,
     """
     x_idx = _domain_index(state.x, family)
     de = state.dim_e
-    order, starts = _blocks_by_u(state)
+    blocks = _blocks_by_u(state)
     step = max(1, _U_CHUNK_CELLS // (de * de << family.n))
     exact = 0.0
-    for lo in range(0, len(state.labels), step):
-        hi = min(lo + step, len(state.labels))
-        idx = order[starts[lo]:starts[hi]]
-        stack = np.zeros((hi - lo, 1 << family.n, de, de), dtype=complex)
+    for lo in range(0, len(blocks), step):
+        chunk = blocks[lo:lo + step]
+        idx = np.concatenate(chunk)
+        stack = np.zeros((len(chunk), 1 << family.n, de, de), dtype=complex)
         stack[state.u[idx] - lo, x_idx[idx]] = state._scaled(idx)
         exact += _class_average(stack, family)
     bound = 0.5 * 2.0 ** (-0.5 * (_h_min(state, epsilon_smooth) - state.q
@@ -316,14 +315,9 @@ def pa_distance_slow(state: CqState, family: HashFamily,
     exactly (`math.fsum`), so its own rounding stays below 1e-12."""
     _domain_index(state.x, family)
     check_cap("pa-oracle", "members", family.size)
-    ell = family.ell
-    de = state.dim_e
-    n_out = 1 << ell
-    weight = 1.0 / family.size
+    de, n_out, weight = state.dim_e, 1 << family.ell, 1.0 / family.size
     terms = []
-    order, starts = _blocks_by_u(state)
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        idx = order[lo:hi]
+    for idx in _blocks_by_u(state):
         xs, scaled = state.x[idx].tolist(), state._scaled(idx)
         for member in family.members():
             blocks = np.zeros((n_out, de, de), dtype=complex)
@@ -334,7 +328,7 @@ def pa_distance_slow(state: CqState, family: HashFamily,
                       for z in range(n_out)]
     exact = math.fsum(terms)
     bound = 0.5 * 2.0 ** (-0.5 * (_h_min(state, epsilon_smooth) - state.q
-                                  - ell)) + epsilon_smooth
+                                  - family.ell)) + epsilon_smooth
     return exact, bound
 
 
@@ -363,9 +357,7 @@ def guess_within_ball(state: CqState, strategy, n: int, delta: float,
     radius = int(math.floor(delta * n))
     ball, _ = hamming_ball_size(n, radius)
     success = 0.0
-    order, starts = _blocks_by_u(state)
-    for uv, lo, hi in zip(state.labels, starts[:-1], starts[1:]):
-        idx = order[lo:hi]
+    for uv, idx in zip(state.labels, _blocks_by_u(state)):
         scaled = state._scaled(idx)
         for element, guess in strategy(uv):
             if guess >> n:
