@@ -17,6 +17,7 @@ so the exact equivalences are tested without float ambiguity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -91,24 +92,12 @@ def ndlf_security_distance(dist: OtOutputDistribution):
 
 def sender_security_of_extension(extended: np.ndarray):
     """delta(P_{S_{1-D} S_D D W}, unif^l . P_{S_D D W}) for an explicit
-    extension array [s0, s1, d, w]."""
+    extension array [s0, s1, d, w]: given D = d, S_D is axis d and the other
+    string is compared with uniform."""
     size = extended.shape[0]
-    total = 0
-    # d = 0: S_D = S0 (axis 0), S_{1-D} = S1 (axis 1)
-    m0 = extended[:, :, 0, :]
-    marg0 = m0.sum(axis=1)
-    for s0 in range(size):
-        for w in range(extended.shape[3]):
-            for s1 in range(size):
-                total += abs(m0[s0, s1, w] - marg0[s0, w] / size)
-    # d = 1: S_D = S1 (axis 1)
-    m1 = extended[:, :, 1, :]
-    marg1 = m1.sum(axis=0)
-    for s1 in range(size):
-        for w in range(extended.shape[3]):
-            for s0 in range(size):
-                total += abs(m1[s0, s1, w] - marg1[s1, w] / size)
-    return total / 2
+    m0, m1 = extended[:, :, 0, :], extended[:, :, 1, :]
+    return (np.abs(m0 - m0.sum(axis=1, keepdims=True) / size).sum()
+            + np.abs(m1 - m1.sum(axis=0, keepdims=True) / size).sum()) / 2
 
 
 def construct_pointer(dist: OtOutputDistribution) -> PointerExtension:
@@ -209,15 +198,11 @@ def one_of_n_condition(mass: np.ndarray, ell: int, epsilon: float):
     if ell < 1:
         raise InputError("ell must be positive")
     worst = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            # move axes i, j to the front, flatten the rest into W'
-            rest = [k for k in range(n) if k not in (i, j)]
-            perm = [i, j] + rest + [n]
-            t = np.transpose(m, perm).reshape(size, size, -1)
-            worst = max(worst, _linear_distances(t)[1:, 1:].max())
+    for i, j in itertools.permutations(range(n), 2):
+        # move axes i, j to the front, flatten the rest into W'
+        rest = [k for k in range(n) if k not in (i, j)]
+        t = np.transpose(m, [i, j] + rest + [n]).reshape(size, size, -1)
+        worst = max(worst, _linear_distances(t)[1:, 1:].max())
     nu = epsilon / ((1 << (2 * ell)) * n * (n - 1))
     return worst, bool(worst <= nu)
 

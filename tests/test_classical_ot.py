@@ -207,6 +207,25 @@ class TestConstructPointer:
                 pe = construct_pointer(dist)
                 assert pe.epsilon <= factor * nd + 1e-12
 
+    def test_extension_distance_matches_cell_loop(self):
+        # the cell-by-cell sum the array form replaced
+        rng = np.random.default_rng(6)
+        for size, nw in ((2, 1), (2, 3), (4, 2), (8, 1)):
+            ext = rng.random((size, size, 2, nw))
+            ext /= ext.sum()
+            want = 0.0
+            for d, keep in ((0, 0), (1, 1)):
+                m = ext[:, :, d, :]
+                marg = m.sum(axis=1 - keep)
+                for s_keep in range(size):
+                    for w in range(nw):
+                        for s_other in range(size):
+                            cell = m[s_keep, s_other, w] if keep == 0 \
+                                else m[s_other, s_keep, w]
+                            want += abs(cell - marg[s_keep, w] / size)
+            assert sender_security_of_extension(ext) == pytest.approx(
+                want / 2, abs=1e-12, rel=0)
+
     def test_lp_oracle_never_beaten_much(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
