@@ -3,10 +3,11 @@ exact privacy-amplification security distances.
 
 A CqState pairs a classical random variable X (n-bit strings as packed
 ints, index 0 the most significant bit, with an optional extra classical
-register U) with per-outcome conditional density operators on a q-qubit
-register E. Everything assembled here is block-diagonal over the classical
-registers, so trace distances decompose into per-block trace norms and
-stay exact at desk scale.
+register U) with per-outcome conditional states on a q-qubit register E,
+kept as arrays: amplitude rows for pure states, operators for mixed ones.
+Everything assembled here is block-diagonal over the classical registers,
+so trace distances decompose into per-block trace norms and stay exact at
+desk scale.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .hashing import HashFamily, fwht
 from .qstate import DensityOperator, batched_trace_norm, trace_norm
 
 _CLASS_CELLS = 1 << 12  # cells per chunk: 64 KiB at most, reused heap memory
-_U_CHUNK_CELLS = 1 << 22  # cells of a (u, x, d, d) stack in pa_distance
+_U_CHUNK_CELLS = 1 << 22  # pa_distance stack cells: 64 MiB, one chunk to n=10
 
 
 class CqState:
