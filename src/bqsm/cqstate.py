@@ -47,10 +47,13 @@ class CqState:
             u = [index.setdefault(v, len(index))
                  for v in (("",) * len(x) if u is None else u)]
             labels = tuple(index)
-        order = np.argsort([repr(v) for v in labels])
-        used, self.u = np.unique(np.argsort(order)[np.asarray(u, np.intp)],
-                                 return_inverse=True)
-        self.labels = tuple(labels[i] for i in order[used])
+        order = sorted(range(len(labels)), key=lambda i: repr(labels[i]))
+        rank = np.empty(len(labels), np.intp)
+        rank[order] = np.arange(len(labels))
+        ranked = rank[np.asarray(u, np.intp)]
+        used = np.bincount(ranked, minlength=len(labels)) > 0
+        self.u = np.cumsum(used)[ranked] - 1
+        self.labels = tuple(labels[i] for i in np.asarray(order)[used])
         self.x = np.asarray(x)
         self.p = np.asarray(p, dtype=float)
         self.q = q
@@ -63,7 +66,8 @@ class CqState:
             raise InputError("conditional operator dimension mismatch")
         if self.x.dtype.kind not in "iu":
             raise InputError("X values must be packed ints")
-        if np.unique(self.x * len(self.labels) + self.u).size != n:
+        key = np.sort(self.x * len(self.labels) + self.u, kind="stable")
+        if (key[1:] == key[:-1]).any():
             raise InputError("duplicate classical outcomes")
         if (self.p < 0).any():
             raise InputError("negative probabilities")
