@@ -59,8 +59,3 @@ def parity_u64(a: np.ndarray) -> np.ndarray:
     """Elementwise parity of a uint64 array, via byte lookup."""
     b = a.astype(np.uint64).view(np.uint8).reshape(a.shape + (8,))
     return np.bitwise_xor.reduce(_BYTE_PARITY[b], axis=-1)
-
-
-def hamming(a: int, b: int) -> int:
-    """Hamming distance of two packed bit-strings."""
-    return bin(a ^ b).count("1")

@@ -213,18 +213,18 @@ def rate_bound_check(config: QkdConfig, eve: Eavesdropper, m: int,
                     ).reshape(1 << m, -1)
     xi, zi = np.nonzero(weight > 0)
     u = zi
-    labels = ["".join(t) for t in
-              itertools.product("01", repeat=weight.shape[1].bit_length() - 1)]
+    u_labels = ["".join(t) for t in itertools.product(
+        "01", repeat=weight.shape[1].bit_length() - 1)]
     if config.code is not None:
         syn, syn_idx = np.unique([bits_to_str(config.code.syndrome_chunked(b))
                                   for b in bits], return_inverse=True)
         u = zi * len(syn) + syn_idx[xi]
-        labels = [(zs, sv) for zs in labels for sv in syn.tolist()]
+        u_labels = [(zs, sv) for zs in u_labels for sv in syn.tolist()]
     pad = (1 << q) // rows.shape[1]
     form = {"rows": rows[xi]} if pad == 1 else {"ops": np.kron(
         rows[xi, :, None] * rows[xi, None, :].conj(), np.eye(pad) / pad)}
     state = CqState(xi, weight[xi, zi] * 2.0 ** (-m), q=q, u=u,
-                    labels=labels, **form)
+                    labels=u_labels, **form)
     ell = key_length(config, m)
     out = {"m": m, "theta": "".join(theta), "eve": str(eve),
            "key_length": ell, "q": q}
