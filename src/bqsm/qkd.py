@@ -25,7 +25,6 @@ from .qstate import SINGLE_QUBIT_BASES
 
 ALPHABETS = {"bb84": ("+", "x"), "six-state": ("+", "x", "circ")}
 AEU_BOUND = {"bb84": 0.5, "six-state": 2.0 / 3.0}
-RATE_CHECK_CAP = 10
 
 
 @dataclass

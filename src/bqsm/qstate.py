@@ -68,13 +68,6 @@ class PureState:
         return DensityOperator(np.outer(self.amplitudes,
                                         self.amplitudes.conj()))
 
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def equals_up_to_phase(self, other: "PureState", tol: float = MEAS_TOL
-                           ) -> bool:
-        return abs(abs(self.overlap(other)) - 1.0) <= tol
-
 
 class DensityOperator:
     """Hermitian, trace-one, positive semidefinite matrix.
@@ -113,17 +106,6 @@ class DensityOperator:
         if 2 ** n != self.dim:
             raise InputError(f"dimension {self.dim} is not a power of two")
         return n
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
-    def log_rank(self, tol: float = MEAS_TOL) -> float:
-        """Max-entropy H_0: log2 of the rank."""
-        ev = self.eigenvalues()
-        return math.log2(max(int((ev > tol).sum()), 1))
 
     @staticmethod
     def maximally_mixed(n: int) -> "DensityOperator":

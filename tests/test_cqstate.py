@@ -11,8 +11,7 @@ from bqsm.cqstate import (CqState, classical_lhl_distance, guess_within_ball,
 from bqsm.entropy import Distribution
 from bqsm.errors import InputError
 from bqsm.hashing import HashFamily
-from bqsm.qstate import (DensityOperator, haar_unitary, prepare_bb84,
-                         random_density)
+from bqsm.qstate import haar_unitary, prepare_bb84, random_density
 
 
 def qubit(x, basis):
@@ -381,11 +380,3 @@ class TestCqStateHousekeeping:
         with pytest.raises(InputError):
             CqState((0, 1), [0.5, 0.6],
                     (np.eye(1, dtype=complex),) * 2, 0)
-
-    def test_purity_and_log_rank(self):
-        rho = DensityOperator.maximally_mixed(2)
-        assert rho.purity() == pytest.approx(0.25)
-        assert rho.log_rank() == pytest.approx(2.0)
-        pure = prepare_bb84("01", "+x").density()
-        assert pure.purity() == pytest.approx(1.0)
-        assert pure.log_rank() == pytest.approx(0.0)

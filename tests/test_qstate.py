@@ -55,12 +55,6 @@ class TestTypes:
             BasisSet([single_qubit_basis("+"), single_qubit_basis("+")],
                      mutually_unbiased=True)
 
-    def test_phase_equality(self):
-        a = PureState([SQ2, SQ2])
-        b = PureState([SQ2 * 1j, SQ2 * 1j])
-        assert a.equals_up_to_phase(b)
-        assert not a.equals_up_to_phase(PureState([1, 0]))
-
 
 class TestPrepareAndMeasure:
     def test_bb84_single_qubit_states(self):
