@@ -69,8 +69,6 @@ def _exp_uncertainty_two_basis(seed, n=6, trials=1000,
     from .qstate import haar_state
     from .uncertainty import (max_prob_relation, min_entropy_sum_relation,
                               two_basis_relation)
-    check_count("n", n)
-    check_count("trials", trials)
     max_set = 1 << n if max_set is None else max_set
     check_count("max_set", max_set, most=1 << n)
     rows, violations = [], 0
@@ -95,7 +93,6 @@ def _exp_uncertainty_two_basis(seed, n=6, trials=1000,
 def _exp_uncertainty_tight_cases(seed, n_max=8):
     from .uncertainty import (hadamard_invariant_state, half_split_state,
                               two_basis_relation)
-    check_count("n_max", n_max, least=2)
     rows, violations = [], 0
     for n in range(2, n_max + 1):
         rep = two_basis_relation(hadamard_invariant_state(n), [0], [0])
@@ -114,12 +111,10 @@ def _exp_uncertainty_tight_cases(seed, n_max=8):
 def _exp_second_relation(seed, n=6, lam=0.12, trials=40, alphabet="bb84"):
     from .qstate import DensityOperator
     from .uncertainty import second_relation_sample
-    from .qkd import AEU_BOUND
+    from .qkd import AEU_BOUND, ALPHABETS
     h = _choose("alphabet", alphabet, AEU_BOUND)
-    check_count("trials", trials)
-    labels = ["+", "x"] if alphabet == "bb84" else ["+", "x", "circ"]
     rec = second_relation_sample(DensityOperator.maximally_mixed(n),
-                                 labels, h, lam, trials, seed)
+                                 ALPHABETS[alphabet], h, lam, trials, seed)
     rec.pop("thetas")
     rec["per_slice_min"] = min(rec.pop("per_slice_min_entropy"))
     return {"rows": [rec], "violations": 0 if rec["pass"] else 1}
@@ -128,7 +123,6 @@ def _exp_second_relation(seed, n=6, lam=0.12, trials=40, alphabet="bb84"):
 def _exp_uncertainty_multi_mub(seed, n=4, trials=500):
     from .qstate import haar_state, standard_basis_set
     from .uncertainty import multi_mub_relation
-    check_count("trials", trials)
     bs = standard_basis_set("six-state", n)
     rows, violations = [], 0
     for t in range(trials):
@@ -148,7 +142,6 @@ def _exp_maassen_uffink(seed, n=4, trials=1000):
     from .entropy import shannon_entropy
     from .qstate import haar_state, random_density
     from .uncertainty import _two_basis_probs
-    check_count("trials", trials)
     rows, violations = [], 0
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
@@ -185,17 +178,16 @@ def _exp_qkd_thresholds(seed):
 
 
 def _exp_qkd_run(seed, alphabet="bb84", p=0.0, symbols=1000,
-                 margin_bits=1.0, code: str | None = None):
+                 margin_bits=1.0, code="none"):
     from .protocols.codes import hamming_7_4, repetition_code
-    from .qkd import QkdConfig, run_qkd
+    from .qkd import ALPHABETS, QkdConfig, run_qkd
     codes = {"hamming": lambda: hamming_7_4(p),
-             "rep5": lambda: repetition_code(5, p), None: lambda: None,
-             "none": lambda: None}
+             "rep5": lambda: repetition_code(5, p), "none": lambda: None}
+    _choose("alphabet", alphabet, ALPHABETS)
     cfg = QkdConfig(alphabet=alphabet, p=p, symbols=symbols,
                     margin_bits=margin_bits,
                     code=_choose("code", code, codes)(),
-                    ec_bits_per_symbol=None if code not in (None, "none")
-                    else 0.0)
+                    ec_bits_per_symbol=None if code != "none" else 0.0)
     return {"rows": [run_qkd(cfg, seed)], "violations": 0}
 
 
@@ -203,16 +195,20 @@ def _exp_qkd_rate_check(seed, alphabet="six-state", m=7, eve="trivial",
                         eve_param: str | None = None, memory_qubits=0,
                         margin_bits=0.5):
     from .protocols.codes import hamming_7_4
-    from .qkd import Eavesdropper, QkdConfig, rate_bound_check
+    from .qkd import ALPHABETS, Eavesdropper, QkdConfig, rate_bound_check
+    from .qstate import SINGLE_QUBIT_BASES
+    _choose("alphabet", alphabet, ALPHABETS)
     cfg = QkdConfig(alphabet=alphabet, p=0.0,
                     code=hamming_7_4(0.05) if m == 7 else None,
                     ec_bits_per_symbol=None if m == 7 else 0.0,
                     memory_qubits=memory_qubits, margin_bits=margin_bits)
-    params = ()
-    if eve == "intercept_resend":
-        params = (eve_param or "+",)
-    elif eve == "store_subset":
-        params = (int(eve_param or memory_qubits),)
+    params = _choose("eve", eve, {
+        "trivial": lambda: (),
+        "intercept_resend": lambda: (_choose(
+            "eve_param", eve_param or "+",
+            {b: b for b in SINGLE_QUBIT_BASES}),),
+        "store_subset": lambda: (
+            _value("eve_param", int, eve_param or memory_qubits),)})()
     rec = rate_bound_check(cfg, Eavesdropper(eve, params), m, seed)
     bad = 0 if rec.get("refused") or rec.get("pass") else 1
     return {"rows": [rec], "violations": bad}
@@ -222,7 +218,6 @@ def _exp_lhl_classical(seed, n=4, ell=1, distributions=20):
     from .cqstate import classical_lhl_distance
     from .entropy import Distribution
     from .hashing import HashFamily
-    check_count("distributions", distributions)
     fam = HashFamily(n, ell, "linear")
     rows, violations = [], 0
     for t in range(distributions):
@@ -384,7 +379,8 @@ def _exp_ot_uot(seed, n=6, ell=1, kappa=0.5, channel="xor"):
 def _exp_splitting_reduction(seed, n=9, ell=1, kappa=0.25,
                              channel="parity"):
     from .classical_ot import UotChannel, splitting_reduction
-    ch = UotChannel.parity(n) if channel == "parity" else UotChannel.xor(n)
+    ch = _choose("channel", channel, {"parity": UotChannel.parity,
+                                      "xor": UotChannel.xor})(n)
     rec = splitting_reduction(n, ell, kappa, ch, force=True)
     bad = 0 if (not rec["promise_ok"]) or rec["pass"] else 1
     return {"rows": [rec], "violations": bad}
@@ -393,7 +389,6 @@ def _exp_splitting_reduction(seed, n=9, ell=1, kappa=0.25,
 def _exp_rabin_honest(seed, n=24, runs=10000):
     from .protocols import run_rabin_ot
     from .protocols.channel import PERFECT
-    check_count("runs", runs)
     received, correct = 0, 0
     for t in range(runs):
         tr = run_rabin_ot(t & 1, PERFECT, "honest", n, seed + t)
@@ -412,7 +407,6 @@ def _exp_rabin_honest(seed, n=24, runs=10000):
 def _exp_ot12_honest(seed, n=24, runs=2000):
     from .protocols import run_ot12
     from .protocols.channel import PERFECT
-    check_count("runs", runs)
     bad = 0
     for t in range(runs):
         tr = run_ot12(t & 1, PERFECT, "honest", n, 1, seed + t)
@@ -425,8 +419,6 @@ def _exp_ot12_honest(seed, n=24, runs=2000):
 def _exp_commit_honest(seed, n=30, runs=2000):
     from .protocols import run_commitment
     from .protocols.channel import PERFECT
-    check_count("n", n)
-    check_count("runs", runs)
     bad = sum(not run_commitment(t & 1, PERFECT, "honest", n,
                                  seed + t).honest["accepted"]
               for t in range(runs))
@@ -460,7 +452,8 @@ def _exp_binding(seed, n=10, q=1, strategy="store_prefix", mode="weak"):
         "breitbart": lambda: breitbart_strategy(),
         "full_memory": lambda: full_memory(),
         "superposition": lambda: "superposition"})()
-    rec = binding_experiment(committer, n, mode=mode)
+    rec = binding_experiment(committer, n, mode=_choose(
+        "mode", mode, {"weak": "weak", "strong": "strong"}))
     return {"rows": [rec], "violations": 0 if rec["bound_ok"] else 1}
 
 
@@ -471,7 +464,8 @@ def _exp_sender_security(seed, protocol="rabin", n=5, q=1, ell=1,
     strat = _choose("strategy", strategy, {
         "store_prefix": lambda: store_prefix(q),
         "breitbart": lambda: breitbart_strategy()})()
-    rec = sender_security_distance(strat, protocol, n, ell)
+    rec = sender_security_distance(strat, _choose(
+        "protocol", protocol, {"rabin": "rabin", "ot12": "ot12"}), n, ell)
     return {"rows": [rec], "violations": 0 if rec["pass"] else 1}
 
 
@@ -504,8 +498,6 @@ def _exp_azuma(seed, c=1.0, n=1000, lam=0.1, trials=100000):
     # entropy.azuma_empirical covers arbitrary sources
     from .bits import row_blocks
     from .entropy import azuma_tail
-    check_count("n", n)
-    check_count("trials", trials)
     check_cap("walk-steps", "n", n)
     rng = np.random.default_rng(seed)
     bound = azuma_tail(c, n, lam)
@@ -533,6 +525,43 @@ def _schema(func) -> dict:
         if par.default is not par.empty and scalar:
             schema[name] = scalar[0]
     return schema
+
+
+# Every numeric parameter's domain, by name, from the paper's statements.
+# max_set <= 2^n depends on n, so its experiment checks it.
+DOMAINS = {
+    "q": "[0, inf)",                 # memory qubits; 0 is none
+    "memory_qubits": "[0, inf)",
+    "eve_param": "[0, inf)",         # symbols a store_subset Eve keeps
+    "n_max": "[2, inf)",             # the tight cases start at 2 qubits
+    "samples": "[2, inf)",           # the ddof=1 stderr needs two
+    "d": "[2, inf)",                 # a qudit dimension
+    "p": "[0, 1]",                   # a probability
+    "margin_bits": "[0, inf)",
+    "kappa": "[0, inf)",             # error target 2^-kappa
+    "c": "(0, inf)",                 # step bound of a martingale
+    "lam": "(0, inf)",               # deviation or entropy-rate margin
+}
+DEFAULT_DOMAIN = {int: "[1, inf)", float: "(-inf, inf)"}  # counts; finite
+
+
+def _value(param: str, typ, text):
+    """`text` as a `typ`; a number must lie in the domain of `param`."""
+    try:
+        value = typ(text)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"bad value for {param}: {exc}") from exc
+    if typ is not str:
+        domain = DOMAINS.get(param, DEFAULT_DOMAIN[typ])
+        least, most = (float(b) if "inf" in b else typ(b)
+                       for b in domain[1:-1].split(", "))
+        if typ is float and not math.isfinite(value) \
+                or domain[0] == "(" and value == least \
+                or domain[-1] == ")" and value == most:
+            raise InputError(f"{param}={value} is outside {domain}; "
+                             f"set {param} in {domain}")
+        check_count(param, value, least, most)
+    return value
 
 
 REGISTRY = {name: (func, _schema(func)) for name, func in {
@@ -568,29 +597,21 @@ REGISTRY = {name: (func, _schema(func)) for name, func in {
 
 
 def list_experiments(filter_text: str = "") -> list:
-    out = []
-    for name in sorted(REGISTRY):
-        if filter_text and filter_text not in name:
-            continue
-        _, schema = REGISTRY[name]
-        out.append({"experiment": name,
-                    "parameters": {k: t.__name__
-                                   for k, t in schema.items()}})
-    return out
+    return [{"experiment": name, "parameters": {
+        k: t.__name__ if t is str
+        else f"{t.__name__} {DOMAINS.get(k, DEFAULT_DOMAIN[t])}"
+        for k, t in schema.items()}}
+        for name, (_, schema) in sorted(REGISTRY.items())
+        if filter_text in name]
 
 
 def run(spec: ExperimentSpec) -> dict:
-    if spec.name not in REGISTRY:
-        raise ParameterError(f"unknown experiment {spec.name!r}")
-    func, schema = REGISTRY[spec.name]
+    func, schema = _choose("experiment", spec.name, REGISTRY)
     kwargs = {}
     for k, v in spec.parameters.items():
         if k not in schema:
             raise ParameterError(f"unknown parameter {k!r} for {spec.name}")
-        try:
-            kwargs[k] = schema[k](v)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"bad value for {k}: {exc}") from exc
+        kwargs[k] = _value(k, schema[k], v)
     result = func(spec.seed, **kwargs)
     result["spec"] = spec.to_dict()
     return result
@@ -609,8 +630,12 @@ def _emit(result: dict, spec: ExperimentSpec):
             lines.append(",".join(str(_fmt(row.get(c, ""))) for c in cols))
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(result, sort_keys=True, default=_json_default,
-                          indent=1) + "\n"
+        try:
+            text = json.dumps(result, sort_keys=True, default=_json_default,
+                              indent=1, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise InputError(f"{spec.name} gave a non-finite result, "
+                             "which JSON cannot hold") from exc
     if spec.out:
         with open(spec.out, "w") as fh:
             fh.write(text)
@@ -619,14 +644,8 @@ def _emit(result: dict, spec: ExperimentSpec):
 
 
 def _json_default(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, np.ndarray):
+    if isinstance(v, (np.generic, np.ndarray)):
         return v.tolist()
-    if isinstance(v, np.bool_):
-        return bool(v)
     return str(v)
 
 
@@ -683,6 +702,7 @@ def main(argv=None) -> int:
             spec = ExperimentSpec(args.experiment, params, args.seed,
                                   args.out, args.format)
         result = run(spec)
+        _emit(result, spec)
     except (ParameterError, CapacityError, InputError,
             PromiseViolation) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
@@ -694,7 +714,6 @@ def main(argv=None) -> int:
                                      f"memory; lower its size parameter "
                                      f"({sizes})"}) + "\n")
         return 2
-    _emit(result, spec)
     if result.get("violations", 0):
         sys.stderr.write(json.dumps(
             {"violations": result["violations"]}) + "\n")

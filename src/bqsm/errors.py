@@ -43,9 +43,9 @@ CAPS = {
 }
 
 
-def check_count(param: str, value: int, least: int = 1,
-                most: int | None = None):
-    """Refuse a count `value` of `param` below `least` or above `most`."""
+def check_count(param: str, value: float, least: float = 1,
+                most: float | None = None):
+    """Refuse a `value` of `param` below `least` or above `most`."""
     if value < least:
         raise InputError(f"{param}={value} is below {least}; "
                          f"raise {param}")

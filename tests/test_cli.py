@@ -1,10 +1,12 @@
 import inspect
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from bqsm import cli
 from bqsm.cli import (ExperimentSpec, ParameterError, REGISTRY,
                       list_experiments, main, run)
 
@@ -22,6 +24,14 @@ class TestRegistry:
         assert list_experiments("commit")[0]["experiment"] \
             == "commitment-honest"
         assert list_experiments("zzz") == []
+        # each numeric parameter shows its domain next to its type
+        [hmin] = list_experiments("hmin-accumulated")
+        assert hmin["parameters"] == {"n": "int [1, inf)",
+                                      "lam": "float (0, inf)",
+                                      "trials": "int [1, inf)"}
+        [rate] = list_experiments("qkd-rate-check")
+        assert rate["parameters"]["memory_qubits"] == "int [0, inf)"
+        assert rate["parameters"]["eve"] == "str"
 
     def test_unknown_experiment(self):
         with pytest.raises(ParameterError):
@@ -61,6 +71,75 @@ class TestRegistry:
         assert result["spec"]["parameters"] == params
 
 
+EDGE_VALUES = {int: ("-1", "0", "1", "2"),
+               float: ("-0.5", "0", "1", "1.5", "nan", "inf")}
+# In-domain edge specs that a bound narrower than the parameter's domain
+# refuses: a library range, a parity or a cap that depends on the other
+# parameters.
+NARROWER = {
+    ("second-relation", "lam", "1"): "lam must be in (0, 1/2)",
+    ("second-relation", "lam", "1.5"): "lam must be in (0, 1/2)",
+    ("qkd-run", "p", "1"): "p must lie in [0, 1/2)",
+    ("bell-attack", "n", "1"): "needs even n",
+    ("splitting-reduction", "ell", "2"): "hash-table cap",
+}
+
+
+def in_domain(param, typ, text):
+    """Whether `text` lies in the interval the domain table gives."""
+    domain = cli.DOMAINS.get(param, cli.DEFAULT_DOMAIN[typ])
+    least, most = (float(b) for b in domain[1:-1].split(", "))
+    v = float(text)
+    return ((least < v) if domain[0] == "(" else (least <= v)) \
+        and ((v < most) if domain[-1] == ")" else (v <= most))
+
+
+def strict_json(text):
+    def refuse(token):
+        raise ValueError(f"bare {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestDomains:
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_domain_walk(self, name, monkeypatch, capsys):
+        # every int and float parameter at the edge values, one at a time
+        func, schema = REGISTRY[name]
+
+        def entered(seed, **kwargs):
+            raise AssertionError(f"{name} entered with {kwargs}")
+
+        for param, typ in schema.items():
+            for text in EDGE_VALUES.get(typ, ()):
+                spec = (name, param, text)
+                inside = in_domain(param, typ, text)
+                monkeypatch.setitem(REGISTRY, name,
+                                    (func if inside else entered, schema))
+                code = main(["-e", name, "--seed", "1",
+                             "-p", f"{param}={text}"])
+                out, err = capsys.readouterr()
+                if not inside or spec in NARROWER:
+                    assert code == 2 and out == "", spec
+                    [line] = err.splitlines()
+                    error = json.loads(line)["error"]
+                    assert error.startswith(f"{param}=") if not inside \
+                        else NARROWER[spec] in error, (spec, error)
+                else:
+                    assert code in (0, 3), (spec, err)
+                    strict_json(out)
+
+    def test_non_finite_result_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setitem(REGISTRY, "pa-quantum", (
+            lambda seed, **kw: {"rows": [{"exact": math.nan}],
+                                "violations": 0}, {}))
+        assert main(["-e", "pa-quantum", "--seed", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = err.splitlines()
+        assert "pa-quantum gave a non-finite result" \
+            in json.loads(line)["error"]
+
+
 class TestDeterminism:
     def test_identical_specs_identical_results(self):
         spec = ExperimentSpec("uncertainty-two-basis",
@@ -83,13 +162,11 @@ class TestProcessInterface:
         assert "bell-attack" in res.stdout
 
     def test_missing_seed_is_parameter_error(self):
-        res = run_cli("-e", "qkd-thresholds")
-        assert res.returncode == 2
+        assert main(["-e", "qkd-thresholds"]) == 2
 
     def test_unknown_param_exit_code(self):
-        res = run_cli("-e", "qkd-thresholds", "--seed", "1",
-                      "-p", "zz=1")
-        assert res.returncode == 2
+        assert main(["-e", "qkd-thresholds", "--seed", "1",
+                     "-p", "zz=1"]) == 2
 
     def test_success_and_byte_identical_output(self):
         args = ("-e", "qkd-thresholds", "--seed", "7", "--format", "csv")
@@ -173,9 +250,22 @@ class TestProcessInterface:
         (("lhl-classical", "distributions=0"), 2, "distributions=0"),
         (("maassen-uffink", "trials=0"), 2, "trials=0"),
         (("uncertainty-tight-cases", "n_max=1"), 2, "n_max=1"),
+        # every string parameter is one of its experiment's choices
+        (("binding", "mode=bogus"), 2, "unknown mode"),
+        (("qkd-rate-check", "eve=bogus"), 2, "unknown eve "),
+        (("splitting-reduction", "channel=bogus"), 2, "unknown channel"),
+        (("qkd-rate-check", "eve=store_subset", "eve_param=abc"), 2,
+         "bad value for eve_param"),
+        (("qkd-rate-check", "eve=store_subset", "eve_param=-1"), 2,
+         "eve_param=-1"),
+        (("qkd-rate-check", "eve=intercept_resend", "eve_param=bogus"), 2,
+         "unknown eve_param"),
+        (("qkd-run", "alphabet=bogus"), 2, "unknown alphabet 'bogus'; choose"),
+        (("sender-security", "protocol=bogus"), 2,
+         "unknown protocol 'bogus'; choose"),
     ])
     def test_library_errors_exit_2_with_json(self, params, code, named,
-                                             tmp_path):
+                                             tmp_path, capsys):
         exp, *kvs = params
         if exp == "--config":
             cfg = tmp_path / "spec.json"
@@ -186,18 +276,17 @@ class TestProcessInterface:
             args = ["-e", exp, "--seed", "1"]
             for kv in kvs:
                 args += ["-p", kv]
-        res = run_cli(*args)
-        assert res.returncode == code
-        assert "Traceback" not in res.stderr
+        # no exception escapes main
+        assert main(args) == code
+        err = capsys.readouterr().err
         if named is not None:
-            assert named in json.loads(res.stderr.splitlines()[-1])["error"]
+            assert named in json.loads(err.splitlines()[-1])["error"]
 
-    def test_purification_at_odd_n(self):
+    def test_purification_at_odd_n(self, capsys):
         # the alternating fixed-basis strategy needs one basis per qubit
-        res = run_cli("-e", "purification-equivalence", "--seed", "1",
-                      "-p", "n=5")
-        assert res.returncode == 0
-        out = json.loads(res.stdout)
+        assert main(["-e", "purification-equivalence", "--seed", "1",
+                     "-p", "n=5"]) == 0
+        out = json.loads(capsys.readouterr().out)
         assert out["violations"] == 0
         assert "measure_fixed" in {r["strategy"] for r in out["rows"]}
 
