@@ -78,11 +78,16 @@ def _grid_specs():
     add("uncertainty-two-basis", n=4, trials=12, max_set=3)
     for n in (2, 3, 4):
         add("uncertainty-multi-mub", n=n, trials=40)
+    for n in (1, 5):
+        add("uncertainty-multi-mub", n=n, trials=20)
+    for n in (1, 2, 3, 5):
+        add("maassen-uffink", n=n, trials=20)
     for n_max in (2, 3, 6, 10):
         add("uncertainty-tight-cases", n_max=n_max)
     for n in (3, 6):
         for alphabet in ("bb84", "six-state"):
             add("second-relation", n=n, trials=12, alphabet=alphabet)
+    add("second-relation", n=3, trials=10, alphabet="six-state")
     for eve, eve_param in (("trivial", None), ("intercept_resend", "x"),
                            ("store_subset", "2")):
         for m in range(3, 8):
