@@ -121,9 +121,9 @@ def _exp_second_relation(seed, n=6, lam=0.12, trials=40, alphabet="bb84"):
 
 
 def _exp_uncertainty_multi_mub(seed, n=4, trials=500):
-    from .qstate import haar_state, standard_basis_set
+    from .qkd import ALPHABETS
+    from .qstate import haar_state
     from .uncertainty import multi_mub_relation
-    bs = standard_basis_set("six-state", n)
     rows, violations = [], 0
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
@@ -132,7 +132,7 @@ def _exp_uncertainty_multi_mub(seed, n=4, trials=500):
         for _ in range(3):
             k = int(rng.integers(1, (1 << n) + 1))
             sets.append(rng.choice(1 << n, k, replace=False))
-        rep = multi_mub_relation(st.density(), bs, sets)
+        rep = multi_mub_relation(st, ALPHABETS["six-state"], sets)
         violations += not rep.holds
         rows.append(dict(trial=t, **rep.row()))
     return {"rows": rows, "violations": violations}
@@ -198,6 +198,9 @@ def _exp_qkd_rate_check(seed, alphabet="six-state", m=7, eve="trivial",
     from .qkd import ALPHABETS, Eavesdropper, QkdConfig, rate_bound_check
     from .qstate import SINGLE_QUBIT_BASES
     _choose("alphabet", alphabet, ALPHABETS)
+    if eve == "trivial" and eve_param is not None:
+        raise ParameterError(f"eve_param={eve_param} is ignored by eve "
+                             "'trivial'; leave eve_param unset")
     cfg = QkdConfig(alphabet=alphabet, p=0.0,
                     code=hamming_7_4(0.05) if m == 7 else None,
                     ec_bits_per_symbol=None if m == 7 else 0.0,
@@ -497,7 +500,7 @@ def _exp_azuma(seed, c=1.0, n=1000, lam=0.1, trials=100000):
     # memory does not grow with trials; the generic per-step harness
     # entropy.azuma_empirical covers arbitrary sources
     from .bits import row_blocks
-    from .entropy import azuma_tail
+    from .entropy import azuma_tail, tail_estimate
     check_cap("walk-steps", "n", n)
     rng = np.random.default_rng(seed)
     bound = azuma_tail(c, n, lam)
@@ -505,11 +508,9 @@ def _exp_azuma(seed, c=1.0, n=1000, lam=0.1, trials=100000):
     for rows in row_blocks(trials, n):
         steps = rng.choice([-c, c], size=(rows, n))
         hits += int((steps.sum(axis=1) >= lam * n).sum())
-    est = hits / trials
-    stderr = math.sqrt(max(est * (1 - est), 1.0 / trials) / trials)
+    est, stderr, ok = tail_estimate(hits, trials, bound)
     rec = {"estimate": est, "bound": bound, "stderr": stderr,
            "n": n, "trials": trials}
-    ok = est <= bound + 3 * stderr
     return {"rows": [rec], "violations": 0 if ok else 1}
 
 

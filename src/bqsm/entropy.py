@@ -484,6 +484,16 @@ def azuma_tail(c: float, n: int, lam: float) -> float:
     return math.exp(-(lam ** 2) * n / (2.0 * c ** 2))
 
 
+def tail_estimate(hits: int, trials: int, bound: float
+                  ) -> tuple[float, float, bool]:
+    """Monte-Carlo estimate hits/trials of a tail probability, its
+    standard error (floored at one hit in `trials`), and whether the
+    estimate lies within three standard errors above `bound`."""
+    est = hits / trials
+    stderr = math.sqrt(max(est * (1 - est), 1.0 / trials) / trials)
+    return est, stderr, est <= bound + 3 * stderr
+
+
 def azuma_empirical(step, c: float, n: int, lam: float, trials: int,
                     seed: int) -> dict:
     """Estimate Pr[sum R_i >= lam n] for a seeded martingale-difference
@@ -502,8 +512,7 @@ def azuma_empirical(step, c: float, n: int, lam: float, trials: int,
             total += r
         if total >= lam * n:
             hits += 1
-    est = hits / trials
-    stderr = math.sqrt(max(est * (1 - est), 1.0 / trials) / trials)
+    est, stderr, _ = tail_estimate(hits, trials, bound)
     return {"estimate": est, "bound": bound, "stderr": stderr,
             "trials": trials}
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import row_blocks
-from .entropy import binary_entropy, bisect, shannon_entropy
-from .errors import PromiseViolation, check_cap, check_count
+from .entropy import binary_entropy, bisect, shannon_entropy, tail_estimate
+from .errors import InputError, PromiseViolation, check_cap, check_count
 
 
 @dataclass
@@ -75,6 +75,8 @@ def accumulated_min_entropy_markov(model: MarkovSource, n: int, lam: float,
     check_count("n", n)
     check_count("trials", trials)
     check_cap("walk-steps", "n", n)
+    if not 0 < lam < 0.5:
+        raise InputError("lam must be in (0, 1/2)")
     h = model.entropy_floor
     k = model.alphabet_size
     eps = math.exp(-(lam ** 2) * n / (32.0 * math.log2(k / lam) ** 2))
@@ -98,8 +100,6 @@ def accumulated_min_entropy_markov(model: MarkovSource, n: int, lam: float,
             logp += log_trans[state, nxt]
             state = nxt
         hits += int((logp >= threshold).sum())
-    est = hits / trials
-    stderr = math.sqrt(max(est * (1 - est), 1.0 / trials) / trials)
+    est, stderr, ok = tail_estimate(hits, trials, eps)
     return {"estimate": est, "bound": eps, "stderr": stderr, "n": n,
-            "lam": lam, "trials": trials,
-            "pass": bool(est <= eps + 3 * stderr)}
+            "lam": lam, "trials": trials, "pass": ok}

@@ -11,7 +11,7 @@ Qubit indices are 0-based. Single-qubit basis labels: "+" (computational),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,41 +140,6 @@ class Basis:
         return self.matrix[:, j]
 
 
-@dataclass
-class BasisSet:
-    """Bases over a common dimension, optionally verified mutually
-    unbiased: all cross overlaps have magnitude d^{-1/2}."""
-
-    bases: list
-    mutually_unbiased: bool = False
-    labels: list = field(init=False)
-
-    def __post_init__(self):
-        d = self.bases[0].dim
-        if any(b.dim != d for b in self.bases):
-            raise InputError("bases must share one dimension")
-        if self.mutually_unbiased:
-            target = 1.0 / math.sqrt(d)
-            for i in range(len(self.bases)):
-                for j in range(i + 1, len(self.bases)):
-                    ov = np.abs(self.bases[i].matrix.conj().T
-                                @ self.bases[j].matrix)
-                    if np.abs(ov - target).max() > ATOL:
-                        raise InputError(
-                            f"bases {i},{j} are not mutually unbiased")
-        self.labels = [b.label for b in self.bases]
-
-    @property
-    def dim(self) -> int:
-        return self.bases[0].dim
-
-    def __len__(self) -> int:
-        return len(self.bases)
-
-    def __getitem__(self, i) -> Basis:
-        return self.bases[i]
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -193,27 +158,6 @@ def product_basis_matrix(labels) -> np.ndarray:
         m = np.kron(m, SINGLE_QUBIT_BASES[lab] if isinstance(lab, str)
                     else lab.matrix)
     return m
-
-
-def product_basis(labels) -> Basis:
-    """Tensor product of single-qubit bases, e.g. ['+', 'x', '+']."""
-    label = "".join(lab if isinstance(lab, str) else lab.label
-                    for lab in labels)
-    return Basis(label, product_basis_matrix(labels))
-
-
-def standard_basis_set(kind: str, n: int) -> BasisSet:
-    """Tensor powers of {+, x} ("bb84") or {+, x, circ} ("six-state"),
-    verified mutually unbiased at construction."""
-    _check_qubits(n)
-    if kind == "bb84":
-        labels = ["+", "x"]
-    elif kind == "six-state":
-        labels = ["+", "x", "circ"]
-    else:
-        raise InputError(f"unknown basis-set kind {kind!r}")
-    bases = [product_basis([lab] * n) for lab in labels]
-    return BasisSet(bases, mutually_unbiased=True)
 
 
 def prepare_bb84(x: str, theta: str) -> PureState:
@@ -237,14 +181,7 @@ def prepare_bb84(x: str, theta: str) -> PureState:
 # measurements
 # ---------------------------------------------------------------------------
 
-def _probs_from_density(rho: DensityOperator, basis_matrix: np.ndarray
-                        ) -> np.ndarray:
-    if basis_matrix.shape[0] != rho.dim:
-        raise InputError("dimension mismatch between state and basis")
-    probs = np.einsum("ji,jk,ki->i", basis_matrix.conj(), rho.matrix,
-                      basis_matrix).real
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
+def _normalized(probs: np.ndarray, total: float) -> np.ndarray:
     if abs(total - 1.0) > MEAS_TOL:
         raise InputError(f"measurement probabilities sum to {total}")
     return probs / total
@@ -253,55 +190,49 @@ def _probs_from_density(rho: DensityOperator, basis_matrix: np.ndarray
 def measure(rho: DensityOperator, basis: Basis) -> Distribution:
     """Born-rule outcome distribution of measuring rho in the basis,
     labeled by basis index."""
-    probs = _probs_from_density(rho, basis.matrix)
+    if basis.dim != rho.dim:
+        raise InputError("dimension mismatch between state and basis")
+    probs = np.einsum("ji,jk,ki->i", basis.matrix.conj(), rho.matrix,
+                      basis.matrix).real
+    probs = np.clip(probs, 0.0, None)
+    probs = _normalized(probs, probs.sum())
     return Distribution(range(len(probs)), probs)
 
 
-def _rotate_density(rho_matrix: np.ndarray, mats) -> np.ndarray:
-    """Apply (U_1 x ... x U_n)^dagger rho (U_1 x ... x U_n) without forming
-    the Kronecker product."""
-    n = len(mats)
-    t = rho_matrix.reshape((2,) * (2 * n))
+def _rotate(a: np.ndarray, mats) -> np.ndarray:
+    """Apply (U_1 x ... x U_n)^dagger to the leading n axes of a without
+    forming the Kronecker product; trailing axes are carried along."""
     for i, u in enumerate(mats):
-        t = np.tensordot(u.conj().T, t, axes=([1], [i]))
-        t = np.moveaxis(t, 0, i)
-    for i, u in enumerate(mats):
-        ax = n + i
-        t = np.tensordot(t, u, axes=([ax], [0]))
-        t = np.moveaxis(t, -1, ax)
-    return t.reshape(rho_matrix.shape)
+        a = np.tensordot(u.conj().T, a, axes=([1], [i]))
+        a = np.moveaxis(a, 0, i)
+    return a
 
 
-def measure_per_qubit(rho: DensityOperator, theta) -> Distribution:
-    """Measure an n-qubit state in the product basis given by per-qubit
-    labels (or Basis objects); outcomes are the packed ints
-    range(2^n), qubit 0 the most significant bit."""
-    n = rho.n
+def measure_per_qubit(state, theta) -> np.ndarray:
+    """Born-rule probabilities of measuring a PureState or DensityOperator
+    in the product basis given by per-qubit labels (or Basis objects),
+    over the packed ints range(2^n), qubit 0 the most significant bit.
+    O(n 2^n) for a pure state; a mixed one is rotated twice, as
+    U^dagger rho U = U^dagger (U^dagger rho)^dagger, in O(n 4^n)."""
+    n = state.n
     if len(theta) != n:
         raise InputError("basis choice vector length differs from qubit count")
     mats = [SINGLE_QUBIT_BASES[lab] if isinstance(lab, str) else lab.matrix
             for lab in theta]
-    rotated = _rotate_density(rho.matrix, mats)
-    probs = np.clip(np.diag(rotated).real, 0.0, None)
-    total = probs.sum()
-    if abs(total - 1.0) > MEAS_TOL:
-        raise InputError(f"measurement probabilities sum to {total}")
-    return Distribution(range(2 ** n), probs / total)
-
-
-def measure_per_qubit_pure(psi: PureState, theta) -> np.ndarray:
-    """Probability vector over bit-strings for a pure state, per-qubit
-    product basis; O(n 2^n)."""
-    n = psi.n
-    if len(theta) != n:
-        raise InputError("basis choice vector length differs from qubit count")
-    amp = psi.amplitudes.reshape((2,) * n)
-    for i, lab in enumerate(theta):
-        u = SINGLE_QUBIT_BASES[lab] if isinstance(lab, str) else lab.matrix
-        amp = np.tensordot(u.conj().T, amp, axes=([1], [i]))
-        amp = np.moveaxis(amp, 0, i)
-    probs = np.abs(amp.reshape(-1)) ** 2
-    return probs / probs.sum()
+    wires = (2,) * n
+    if isinstance(state, PureState):
+        amp = _rotate(state.amplitudes.reshape(wires), mats)
+        probs = np.abs(amp.reshape(-1)) ** 2
+        return _normalized(probs, probs.sum())
+    d = state.dim
+    half = _rotate(state.matrix.reshape(wires + (d,)), mats)
+    half = half.reshape(d, d).conj().T.reshape(wires + (d,))
+    rotated = _rotate(half, mats).reshape(d, d)
+    probs = np.clip(np.diagonal(rotated).real, 0.0, None)
+    # the rotations round, so the maximally mixed state's diagonal comes
+    # out uniform but slightly off 2^-n; an exact total still normalizes
+    # it to exactly 2^-n, where an accumulated sum need not
+    return _normalized(probs, math.fsum(probs))
 
 
 _BELL = np.array([

@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy import (JointDistribution, shannon_entropy, smooth_min_entropy)
+from .entropy import (JointDistribution, shannon_entropy, smooth_min_entropy,
+                      tail_estimate)
 from .errors import InputError, PromiseViolation, check_cap
-from .qstate import (BasisSet, PureState, measure,
-                     measure_per_qubit_pure, standard_basis_set)
+from .qstate import (ATOL, PureState, measure_per_qubit,
+                     single_qubit_basis)
 
 SLACK_TOL = 1e-9
 
@@ -49,15 +50,8 @@ class RelationReport:
 
 def _two_basis_probs(rho) -> tuple[np.ndarray, np.ndarray]:
     """Outcome distributions in the +^n and x^n bases."""
-    if isinstance(rho, PureState):
-        q_plus = measure_per_qubit_pure(rho, ["+"] * rho.n)
-        q_times = measure_per_qubit_pure(rho, ["x"] * rho.n)
-        return q_plus, q_times
-    n = rho.n
-    bs = standard_basis_set("bb84", n)
-    q_plus = np.asarray(measure(rho, bs[0]).mass, dtype=float)
-    q_times = np.asarray(measure(rho, bs[1]).mass, dtype=float)
-    return q_plus, q_times
+    return (measure_per_qubit(rho, ["+"] * rho.n),
+            measure_per_qubit(rho, ["x"] * rho.n))
 
 
 def _set_probability(q: np.ndarray, labels) -> float:
@@ -207,19 +201,32 @@ def _build_event(q_plus, q_times, lam, kappa, n):
 # more bases
 # ---------------------------------------------------------------------------
 
-def multi_mub_relation(rho, basis_set: BasisSet, sets) -> RelationReport:
+def _mub_probs(rho, labels) -> list:
+    """Outcome distributions of rho in the n-fold tensor powers of the
+    single-qubit bases `labels`, e.g. qkd.ALPHABETS["six-state"]. The
+    labels must be pairwise mutually unbiased (all overlaps 2^{-1/2});
+    their tensor powers then are too (all overlaps 2^{-n/2})."""
+    mats = [single_qubit_basis(lab).matrix for lab in labels]
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            ov = np.abs(mats[i].conj().T @ mats[j])
+            if np.abs(ov - math.sqrt(0.5)).max() > ATOL:
+                raise InputError(f"bases {labels[i]!r} and {labels[j]!r} "
+                                 "are not mutually unbiased")
+    return [measure_per_qubit(rho, [lab] * rho.n) for lab in labels]
+
+
+def multi_mub_relation(rho, labels, sets) -> RelationReport:
     """sum_i Q^i(L^i) <= 1 + M 2^{-n/2} max_{i<j} sqrt(|L^i| |L^j|) for
-    M+1 mutually unbiased bases and sets L^i of packed outcomes."""
-    if not basis_set.mutually_unbiased:
-        raise InputError("basis set must be verified mutually unbiased")
-    if len(sets) != len(basis_set):
+    the tensor powers of M+1 mutually unbiased single-qubit bases and sets
+    L^i of packed outcomes."""
+    if len(sets) != len(labels):
         raise InputError("one outcome set per basis required")
     n = rho.n
     lhs = 0.0
-    for basis, labels in zip(basis_set.bases, sets):
-        q = np.asarray(measure(rho, basis).mass, dtype=float)
-        lhs += _set_probability(q, labels)
-    m = len(basis_set) - 1
+    for q, outcomes in zip(_mub_probs(rho, labels), sets):
+        lhs += _set_probability(q, outcomes)
+    m = len(labels) - 1
     worst = max(math.sqrt(len(a) * len(b))
                 for i, a in enumerate(sets) for b in sets[i + 1:]) \
         if m else 0.0
@@ -227,14 +234,14 @@ def multi_mub_relation(rho, basis_set: BasisSet, sets) -> RelationReport:
     return RelationReport("multi_mub", lhs, rhs, {"n": n, "m": m})
 
 
-def multi_mub_min_entropy_floor(rho, basis_set: BasisSet) -> RelationReport:
-    """sum_i H_inf(Q^i) >= (M+1) log((M+1)/(1 + M 2^{-n/2}))."""
+def multi_mub_min_entropy_floor(rho, labels) -> RelationReport:
+    """sum_i H_inf(Q^i) >= (M+1) log((M+1)/(1 + M 2^{-n/2})) for the
+    tensor powers of M+1 mutually unbiased single-qubit bases."""
     n = rho.n
     h_sum = 0.0
-    for basis in basis_set.bases:
-        q = np.asarray(measure(rho, basis).mass, dtype=float)
+    for q in _mub_probs(rho, labels):
         h_sum += -math.log2(q.max())
-    m = len(basis_set) - 1
+    m = len(labels) - 1
     floor = (m + 1) * math.log2((m + 1) / (1.0 + m * 2.0 ** (-n / 2.0)))
     return RelationReport("multi_mub_min_entropy", floor, h_sum,
                           {"n": n, "m": m})
@@ -288,11 +295,9 @@ def accumulated_min_entropy(model: SequenceModel, n: int, lam: float,
             history.append(z)
         if logp >= threshold:
             hits += 1
-    est = hits / trials
-    stderr = math.sqrt(max(est * (1 - est), 1.0 / trials) / trials)
+    est, stderr, ok = tail_estimate(hits, trials, eps)
     return {"estimate": est, "bound": eps, "stderr": stderr,
-            "n": n, "lam": lam, "trials": trials,
-            "pass": bool(est <= eps + 3 * stderr)}
+            "n": n, "lam": lam, "trials": trials, "pass": ok}
 
 
 # ---------------------------------------------------------------------------
@@ -320,19 +325,13 @@ def second_relation_sample(rho, basis_labels, h: float, lam: float,
         raise InputError("lam must be in (0, 1/2)")
     eps = genrel_epsilon(n, lam, len(basis_labels), 2)
     rng = np.random.default_rng(seed)
-    pure = isinstance(rho, PureState)
     slices = []
     labels = []
     per_slice = []
     for _ in range(trials):
         theta = [basis_labels[int(rng.integers(len(basis_labels)))]
                  for _ in range(n)]
-        if pure:
-            probs = measure_per_qubit_pure(rho, theta)
-        else:
-            from .qstate import measure_per_qubit
-            probs = np.asarray(measure_per_qubit(rho, theta).mass,
-                               dtype=float)
+        probs = measure_per_qubit(rho, theta)
         slices.append(probs / trials)
         labels.append("".join(theta))
         per_slice.append(-math.log2(probs.max()))

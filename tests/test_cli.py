@@ -79,6 +79,8 @@ EDGE_VALUES = {int: ("-1", "0", "1", "2"),
 NARROWER = {
     ("second-relation", "lam", "1"): "lam must be in (0, 1/2)",
     ("second-relation", "lam", "1.5"): "lam must be in (0, 1/2)",
+    ("hmin-accumulated", "lam", "1"): "lam must be in (0, 1/2)",
+    ("hmin-accumulated", "lam", "1.5"): "lam must be in (0, 1/2)",
     ("qkd-run", "p", "1"): "p must lie in [0, 1/2)",
     ("bell-attack", "n", "1"): "needs even n",
     ("splitting-reduction", "ell", "2"): "hash-table cap",
@@ -263,6 +265,12 @@ class TestProcessInterface:
         (("qkd-run", "alphabet=bogus"), 2, "unknown alphabet 'bogus'; choose"),
         (("sender-security", "protocol=bogus"), 2,
          "unknown protocol 'bogus'; choose"),
+        # the accumulated min-entropy statement needs lam in (0, 1/2)
+        (("hmin-accumulated", "lam=4"), 2, "lam must be in (0, 1/2)"),
+        (("hmin-accumulated", "lam=0.5"), 2, "lam must be in (0, 1/2)"),
+        # a parameter the chosen eavesdropper ignores is refused
+        (("qkd-rate-check", "eve=trivial", "eve_param=abc"), 2,
+         "eve_param=abc"),
     ])
     def test_library_errors_exit_2_with_json(self, params, code, named,
                                              tmp_path, capsys):

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as hst
 
 from bqsm.errors import CapacityError, InputError
-from bqsm.qstate import (Basis, BasisSet, DensityOperator, PureState,
-                         bell_basis, haar_unitary,
-                         measure, measure_per_qubit, measure_per_qubit_pure,
-                         operator_norm, partial_trace, prepare_bb84,
-                         product_basis, projector_onto, random_density,
-                         rank1_trace_norm, single_qubit_basis,
-                         standard_basis_set, tensor, trace_distance,
+from bqsm.qstate import (SINGLE_QUBIT_BASES, Basis, DensityOperator,
+                         PureState, bell_basis, haar_state, haar_unitary,
+                         measure, measure_per_qubit, operator_norm,
+                         partial_trace, prepare_bb84, product_basis_matrix,
+                         projector_onto, random_density, rank1_trace_norm,
+                         single_qubit_basis, tensor, trace_distance,
                          trace_norm)
 
 SQ2 = 1 / math.sqrt(2)
@@ -47,14 +46,6 @@ class TestTypes:
         with pytest.raises(InputError):
             Basis("bad", np.array([[1, 1], [0, 0]], dtype=complex))
 
-    def test_mub_flag_verified(self):
-        good = BasisSet([single_qubit_basis("+"), single_qubit_basis("x")],
-                        mutually_unbiased=True)
-        assert good.labels == ["+", "x"]
-        with pytest.raises(InputError):
-            BasisSet([single_qubit_basis("+"), single_qubit_basis("+")],
-                     mutually_unbiased=True)
-
 
 class TestPrepareAndMeasure:
     def test_bb84_single_qubit_states(self):
@@ -72,12 +63,12 @@ class TestPrepareAndMeasure:
             x = "".join(rng.choice(["0", "1"], n))
             theta = "".join(rng.choice(["+", "x"], n))
             st = prepare_bb84(x, theta)
-            probs = measure_per_qubit_pure(st, list(theta))
+            probs = measure_per_qubit(st, list(theta))
             assert probs[int(x, 2)] == pytest.approx(1.0)
 
     def test_second_qubit_unbiased(self):
         st = prepare_bb84("01", "+x")
-        probs = measure_per_qubit_pure(st, ["+", "+"])
+        probs = measure_per_qubit(st, ["+", "+"])
         assert probs[0] == pytest.approx(0.5)
         assert probs[1] == pytest.approx(0.5)
 
@@ -88,7 +79,7 @@ class TestPrepareAndMeasure:
         d = measure(rho0, single_qubit_basis("x"))
         assert d.p(0) == pytest.approx(0.5)
         mixed = DensityOperator.maximally_mixed(2)
-        d = measure(mixed, product_basis(["+", "x"]))
+        d = measure(mixed, Basis("+x", product_basis_matrix(["+", "x"])))
         assert np.allclose(np.asarray(d.mass, float), 0.25)
 
     def test_measure_distributions_normalized(self):
@@ -104,14 +95,31 @@ class TestPrepareAndMeasure:
 
     def test_per_qubit_point_mass(self):
         st = prepare_bb84("101", "x+x")
-        d = measure_per_qubit(st.density(), ["x", "+", "x"])
-        assert d.p(0b101) == pytest.approx(1.0)
+        for state in (st, st.density()):
+            probs = measure_per_qubit(state, ["x", "+", "x"])
+            assert probs[0b101] == pytest.approx(1.0)
 
     def test_epr_half_uniform(self):
         red = partial_trace(epr_pair().density(), [1])
         for theta in (["+"], ["x"], ["circ"]):
-            d = measure_per_qubit(red, theta)
-            assert np.allclose(np.asarray(d.mass, float), 0.5)
+            assert np.allclose(measure_per_qubit(red, theta), 0.5)
+
+    @settings(max_examples=150, deadline=None)
+    @given(hst.integers(0, 2 ** 32), hst.booleans(), hst.data())
+    def test_per_qubit_matches_kronecker_oracle(self, seed, mixed, data):
+        # the wire-by-wire rotation against the Born rule in the explicit
+        # 2^n x 2^n product basis, for pure and mixed states
+        n = data.draw(hst.integers(1, 5))
+        labels = hst.sampled_from(sorted(SINGLE_QUBIT_BASES))
+        theta = data.draw(hst.lists(labels, min_size=n, max_size=n))
+        rng = np.random.default_rng(seed)
+        state = random_density(n, rng, int(rng.integers(1, 2 ** n + 1))) \
+            if mixed else haar_state(n, rng)
+        rho = state if mixed else state.density()
+        oracle = measure(rho, Basis("", product_basis_matrix(theta)))
+        np.testing.assert_allclose(measure_per_qubit(state, theta),
+                                   np.asarray(oracle.mass, float),
+                                   rtol=0, atol=1e-12)
 
     def test_invariant_state_probability(self):
         n = 4
@@ -123,7 +131,7 @@ class TestPrepareAndMeasure:
             hn = np.kron(hn, h)
         phi = amp + hn @ amp
         st = PureState(phi / np.linalg.norm(phi))
-        probs = measure_per_qubit_pure(st, ["+"] * n)
+        probs = measure_per_qubit(st, ["+"] * n)
         assert probs[0] == pytest.approx((1 + 2 ** (-n / 2)) / 2)
 
 
@@ -271,23 +279,12 @@ class TestBellAndBases:
         bl = bell_basis()
         psi_plus = DensityOperator(
             np.outer(bl.vector(1), bl.vector(1).conj()), check=False)
-        d_plus = measure_per_qubit(psi_plus, ["+", "+"])
+        p_plus = measure_per_qubit(psi_plus, ["+", "+"])
         for outcome in (0b01, 0b10):
-            assert d_plus.p(outcome) == pytest.approx(0.5)
-        d_times = measure_per_qubit(psi_plus, ["x", "x"])
+            assert p_plus[outcome] == pytest.approx(0.5)
+        p_times = measure_per_qubit(psi_plus, ["x", "x"])
         for outcome in (0b00, 0b11):
-            assert d_times.p(outcome) == pytest.approx(0.5)
-
-    def test_standard_basis_sets(self):
-        bs = standard_basis_set("bb84", 1)
-        ov = abs(np.vdot(bs[0].vector(0), bs[1].vector(0)))
-        assert ov == pytest.approx(SQ2)
-        six = standard_basis_set("six-state", 1)
-        assert len(six) == 3
-        assert six.mutually_unbiased
-        six3 = standard_basis_set("six-state", 3)
-        ov = abs(np.vdot(six3[0].vector(0), six3[2].vector(0)))
-        assert ov == pytest.approx(2 ** -1.5)
+            assert p_times[outcome] == pytest.approx(0.5)
 
     def test_circular_basis_vectors(self):
         circ = single_qubit_basis("circ")

@@ -12,8 +12,9 @@ from bqsm.entropy import shannon_entropy
 from bqsm.errors import InputError, PromiseViolation
 from bqsm.markov import (MarkovSource, accumulated_min_entropy_markov,
                          floor_hugging_chain)
-from bqsm.qstate import (DensityOperator, haar_state, prepare_bb84,
-                         random_density, standard_basis_set)
+from bqsm.qkd import ALPHABETS
+from bqsm.qstate import (DensityOperator, PureState, haar_state,
+                         prepare_bb84, product_basis_matrix, random_density)
 from bqsm.uncertainty import (RelationReport, SequenceModel,
                               accumulated_min_entropy,
                               average_entropy_minimum, event_construction,
@@ -22,7 +23,7 @@ from bqsm.uncertainty import (RelationReport, SequenceModel,
                               min_entropy_sum_relation, multi_mub_relation,
                               multi_mub_min_entropy_floor,
                               second_relation_sample, two_basis_relation,
-                              _two_basis_probs)
+                              _mub_probs, _two_basis_probs)
 
 
 class TestTwoBasisRelation:
@@ -112,39 +113,50 @@ class TestEventConstruction:
 
 class TestMultiMub:
     def test_singleton_fully_mixed(self):
-        bs = standard_basis_set("six-state", 3)
-        rep = multi_mub_relation(DensityOperator.maximally_mixed(3), bs,
-                                 [[0b000]] * 3)
+        rep = multi_mub_relation(DensityOperator.maximally_mixed(3),
+                                 ALPHABETS["six-state"], [[0b000]] * 3)
         assert rep.lhs == pytest.approx(3 / 8)
         assert rep.holds
 
     def test_general_min_entropy_floor(self):
-        bs = standard_basis_set("six-state", 8)
         rng = np.random.default_rng(3)
         negligible = math.log2(1 + 2 * 2 ** (-4.0))
         for _ in range(10):
-            rep = multi_mub_min_entropy_floor(
-                haar_state(8, rng).density(), bs)
+            rep = multi_mub_min_entropy_floor(haar_state(8, rng),
+                                              ALPHABETS["six-state"])
             assert rep.holds
             assert rep.lhs == pytest.approx(3 * (math.log2(3) - negligible))
 
     def test_sweep(self):
         rng = np.random.default_rng(4)
-        bs = standard_basis_set("six-state", 3)
         for _ in range(300):
             st = haar_state(3, rng) if rng.integers(2) \
                 else random_density(3, rng)
-            rho = st.density() if hasattr(st, "density") else st
             sets = [rng.choice(8, int(rng.integers(1, 9)), replace=False)
                     for _ in range(3)]
-            assert multi_mub_relation(rho, bs, sets).holds
+            assert multi_mub_relation(st, ALPHABETS["six-state"],
+                                      sets).holds
 
     def test_requires_mub_flag(self):
-        from bqsm.qstate import BasisSet, single_qubit_basis
-        bs = BasisSet([single_qubit_basis("+"), single_qubit_basis("x")])
-        with pytest.raises(InputError):
-            multi_mub_relation(DensityOperator.maximally_mixed(1), bs,
-                               [[0], [0]])
+        # labels whose 2x2 bases are not pairwise mutually unbiased, or
+        # are not labels at all, are refused
+        rho = DensityOperator.maximally_mixed(1)
+        for labels in (("+", "breitbart"), ("+", "+"), ("x", "nope")):
+            with pytest.raises(InputError):
+                multi_mub_relation(rho, labels, [[0], [0]])
+            with pytest.raises(InputError):
+                multi_mub_min_entropy_floor(rho, labels)
+
+    def test_alphabet_powers_unbiased(self):
+        # a point mass in one tensor-power basis of an alphabet is uniform,
+        # 2^{-n} = |overlap|^2, in every other one
+        n = 3
+        for labels in ALPHABETS.values():
+            for i, a in enumerate(labels):
+                st = PureState(product_basis_matrix([a] * n)[:, 5])
+                for j, q in enumerate(_mub_probs(st, labels)):
+                    expect = np.eye(2 ** n)[5] if i == j else 2.0 ** -n
+                    np.testing.assert_allclose(q, expect, atol=1e-12)
 
 
 class TestShannonRelations:
