@@ -360,9 +360,7 @@ def average_entropy_minimum(basis_labels, grid: int = 10000) -> dict:
     average Shannon entropy across the bases, refined by Nelder-Mead."""
     from scipy.optimize import minimize
 
-    from .qstate import SINGLE_QUBIT_BASES
-
-    mats = [SINGLE_QUBIT_BASES[lab] for lab in basis_labels]
+    mats = [single_qubit_basis(lab).matrix for lab in basis_labels]
 
     def avg_entropy(params):
         th, ph = params
