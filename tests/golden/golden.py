@@ -48,6 +48,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import numpy as np  # noqa: E402
 
 from bqsm import cli  # noqa: E402
+from bqsm.errors import CAPS  # noqa: E402
 
 CORPUS = HERE / "corpus.json"
 KEEP_BYTES = 16 * 1024
@@ -105,8 +106,21 @@ def _grid_specs():
         for n in (3, 4, 5):
             for q in (0, 1, 2):
                 add("sender-security", protocol=protocol, n=n, q=q)
-    for n in (3, 4, 5):
-        add("sender-security", protocol="rabin", n=n, strategy="breitbart")
+    for ell in (2, 3):
+        for n in (3, 4, 5, 6):
+            for q in (0, 1, 2):
+                if (n + 2) * ell + 2 * q + 1 <= CAPS["ot12-block"]:
+                    add("sender-security", protocol="ot12", n=n, q=q,
+                        ell=ell)
+    add("sender-security", protocol="ot12", n=6, q=6)
+    for protocol in ("rabin", "ot12"):
+        for n in (3, 4, 5):
+            add("sender-security", protocol=protocol, n=n,
+                strategy="breitbart")
+    for n in (3, 5, 7):
+        for ell in (1, 2):
+            for channel in ("parity", "xor"):
+                add("splitting-reduction", n=n, ell=ell, channel=channel)
     for q in (1, 2):
         for n in (6, 7, 8, 9):
             add("sender-security", protocol="rabin", n=n, q=q)
