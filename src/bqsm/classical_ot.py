@@ -350,17 +350,14 @@ def splitting_reduction(n: int, ell: int, kappa: float,
     links["promise"] = h_inf - r_min
     # split per y: D(x1, y) = 1 iff P(X1 = x1 | Y=y) >= 2^{-alpha/2};
     # worst-case per-y min-entropy of (X_{1-D}, D) must reach alpha/2
-    worst_split = math.inf
-    p_x = 1.0 / (1 << (2 * n))
-    d_of = {}
-    for yi in range(channel.table.shape[0]):
-        col = channel.table[yi] * p_x
-        py = col.sum()
-        if py <= 0:
-            continue
-        d_of[yi], peak = split_pointer(col.reshape(nx, nx) / py, alpha)
-        worst_split = min(worst_split, -math.log2(peak) if peak else math.inf)
-    links["splitting"] = worst_split - alpha / 2.0
+    cols = channel.table * (1.0 / (1 << (2 * n)))
+    py = cols.sum(axis=1)
+    ys = np.nonzero(py > 0)[0]
+    d_y, peaks = split_pointer(
+        (cols[ys] / py[ys, None]).reshape(-1, nx, nx), alpha)
+    d_of = dict(zip(ys.tolist(), d_y))
+    peak = peaks.max(initial=0.0)
+    links["splitting"] = (-math.log2(peak) if peak else math.inf) - alpha / 2
 
     # chain rule floor after conditioning on (D, S_D) and smoothing eps'
     h_after_chain = alpha / 2.0 - (1.0 + ell) - math.log2(1.0 / eps_prime)

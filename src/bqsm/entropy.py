@@ -12,6 +12,7 @@ produces.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -373,17 +374,10 @@ def chain_rule_slack(p: JointDistribution, eps: float, eps_prime: float
 def flatten_joint(p: JointDistribution) -> JointDistribution:
     """View a k-axis joint as unconditional: all axes merged into X, with a
     trivial Y. Useful for H^eps(XY)-style quantities."""
-    labels = [tuple_label for tuple_label in _product_labels(p.axes)]
+    labels = list(itertools.product(*p.axes))
     return JointDistribution([labels, ("*",)],
                              np.asarray(p.mass).reshape(-1, 1),
                              normalized=p.normalized)
-
-
-def _product_labels(axes):
-    out = [()]
-    for axis in axes:
-        out = [prev + (a,) for prev in out for a in axis]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -416,16 +410,17 @@ def split_min_entropy(p: JointDistribution, alpha: float) -> SplitResult:
                        alpha / 2.0)
 
 
-def split_pointer(m: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
-    """The splitting pointer of a mass array m[x0, x1]: C = 1 iff
-    P_{X1}(x1) >= 2^(-alpha/2), as a 0/1 int vector over x1, and the
-    largest mass of the pair (X_{1-C}, C)."""
-    p_x1 = m.sum(axis=0)
-    c_vec = (p_x1 >= 2.0 ** (-alpha / 2.0)).astype(int)
+def split_pointer(m: np.ndarray, alpha: float) -> tuple:
+    """The splitting pointer of a stack of mass arrays m[..., x0, x1]:
+    C = 1 iff P_{X1}(x1) >= 2^(-alpha/2), as 0/1 ints of shape (..., x1),
+    and the largest mass of the pair (X_{1-C}, C), of shape (...)."""
+    p_x1 = m.sum(axis=-2)
+    c = p_x1 >= 2.0 ** (-alpha / 2.0)
     # masses of the pair (X_{1-C}, C): when C=0 report X1, when C=1 report X0
-    mass_c0 = np.where(c_vec == 0, p_x1, 0.0)          # indexed by x1
-    mass_c1 = (m * (c_vec == 1)).sum(axis=1)           # indexed by x0
-    return c_vec, max(mass_c0.max(initial=0.0), mass_c1.max(initial=0.0))
+    mass_c0 = np.where(c, 0.0, p_x1)                   # indexed by x1
+    mass_c1 = (m * c[..., None, :]).sum(axis=-1)       # indexed by x0
+    return c.astype(int), np.concatenate([mass_c0, mass_c1], axis=-1
+                                         ).max(axis=-1)
 
 
 # ---------------------------------------------------------------------------

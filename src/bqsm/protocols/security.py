@@ -26,6 +26,8 @@ from .adversary import (AdversaryStrategy, direct_blocks_dense,
                         row_states, sender_measurement_dense)
 from .rabin import rabin_cq_state, rabin_exact_blocks
 
+_ROW_CHUNK_CELLS = 1 << 15  # _pointer_distance stack cells: 256 KiB of int64
+
 
 # ---------------------------------------------------------------------------
 # purification equivalence
@@ -300,8 +302,7 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
 
     # pass 2: splitting pointer and exact distance, per (theta, y) block
     eps_prime = 2.0 ** (-max(1.0, n / 4.0))
-    split_floor = math.inf
-    dist = 0.0
+    peak, dist = 0.0, 0.0
     kap, dim_k = _part_value(n, kept_idx), 1 << len(kept_idx)
     for theta, rows in per_theta:
         i0 = [i for i in range(n) if theta[i] == "+"]
@@ -310,14 +311,15 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
         # each representative's output on every x's I0 (I1) substring
         (tab0, wt0), (tab1, wt1) = reps[len(i0)], reps[len(i1)]
         hashed = ((tab0[:, x0_val], wt0), (tab1[:, x1_val], wt1))
-        for m in rows:
-            grid = np.zeros((1 << len(i0), 1 << len(i1)))
-            grid[x0_val, x1_val] = m / m.sum()
-            d_x1, peak = split_pointer(grid, alpha)
-            if peak > 0:
-                split_floor = min(split_floor, -math.log2(peak))
-            dist += _pointer_distance(m * 2.0 ** (-n), d_x1[x1_val], kap,
-                                      dim_k, *hashed, ell)
+        # the y rows of theta share the split, tables and kept values;
+        # their distances add to dist in row order
+        grids = np.zeros((len(rows), 1 << len(i0), 1 << len(i1)))
+        grids[:, x0_val, x1_val] = rows / rows.sum(axis=1, keepdims=True)
+        d_x1, peaks = split_pointer(grids, alpha)
+        peak = max(peak, peaks.max())
+        dist = sum(_pointer_distance(rows * 2.0 ** (-n), d_x1[:, x1_val],
+                                     kap, dim_k, *hashed, ell).tolist(), dist)
+    split_floor = -math.log2(peak) if peak > 0 else math.inf
     links["splitting"] = split_floor - alpha / 2.0
     h_chain = alpha / 2.0 - (1.0 + ell) - math.log2(1.0 / eps_prime)
     bound = 0.5 * 2.0 ** (-0.5 * (h_chain - q - ell)) + eps_prime
@@ -331,37 +333,43 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
     }
 
 
-def _pointer_distance(w, dvec, kap, dim_k, side0, side1, ell) -> float:
-    """One (theta, y) block's weighted sum over hash pairs (g0, g1) of
-    sum_d 1/2 ||rho_{S0 S1 E, d} - unif . rho_{S_D E, d}||_1: w[x] is its
-    mass, dvec[x] the pointer, kap[x] < dim_k its kept value, and side_i =
-    (h_i, weight_i) with h_i[g, x] hash g's output on x's I_i part.
+def _pointer_distance(w, dvec, kap, dim_k, side0, side1, ell) -> np.ndarray:
+    """Each (theta, y) block's weighted sum over hash pairs (g0, g1) of
+    sum_d 1/2 ||rho_{S0 S1 E, d} - unif . rho_{S_D E, d}||_1, for the Y
+    blocks of one basis string in stacks of ~`_ROW_CHUNK_CELLS` cells:
+    w[y, x] is block y's mass, dvec[y, x] its pointer, kap[x] < dim_k the
+    kept value; side_i = (h_i, weight_i), h_i[g, x] = g(x's I_i part).
 
     The kept states |kappa>_theta of one basis string are orthonormal, so
     every block is diagonal in them and its trace norm is the l1 norm of
     its (g0, g1, d, s0, s1, kappa) masses."""
     (h0, wt0), (h1, wt1) = side0, side1
     s_out = 1 << ell
-    r0, r1 = len(wt0), len(wt1)
-    xs = np.nonzero(w > 0)[0]
-    # one flat (g0, g1, d, s0, s1, kept value) cell per (x, g0, g1),
-    # summed in x order
-    pair = 2 * (r1 * np.arange(r0)[:, None] + np.arange(r1))
-    cell = (((pair + dvec[xs, None, None]) * s_out
-             + h0[:, xs].T[:, :, None]) * s_out
-            + h1[:, xs].T[:, None, :]) * dim_k + kap[xs, None, None]
-    mass = w[xs, None, None] * wt0[:, None] * wt1
-    acc = np.bincount(cell.ravel(), mass.ravel(),
-                      r0 * r1 * 2 * s_out * s_out * dim_k
-                      ).reshape(r0, r1, 2, s_out, s_out, dim_k)
-    # sub axes: g0, g1, s0, s1, kappa; the S_{1-D} register is S1 when
-    # d = 0 (sum axis 3) and S0 when d = 1 (sum axis 2)
-    total = 0.0
-    for d, axis in ((0, 3), (1, 2)):
-        sub = acc[:, :, d]
-        margin = sub.sum(axis=axis, keepdims=True) / s_out
-        total += np.abs(sub - margin).sum()
-    return float(0.5 * total)
+    shape = (len(wt0), len(wt1), 2, s_out, s_out, dim_k)
+    block = math.prod(shape)
+    pair = 2 * np.arange(len(wt0) * len(wt1)).reshape(shape[:2])
+    step = max(1, _ROW_CHUNK_CELLS // max(pair.size * w.shape[1], block))
+    out = np.empty(len(w))
+    for lo in range(0, len(w), step):
+        ys, xs = np.nonzero(w[lo:lo + step] > 0)
+        # one flat (row, g0, g1, d, s0, s1, kept value) cell per
+        # (row, x, g0, g1), summed in x order within each row
+        cell = (((pair + dvec[lo + ys, xs, None, None]) * s_out
+                 + h0[:, xs].T[:, :, None]) * s_out
+                + h1[:, xs].T[:, None, :]) * dim_k \
+            + (ys * block + kap[xs])[:, None, None]
+        mass = w[lo + ys, xs, None, None] * wt0[:, None] * wt1
+        rows = min(step, len(w) - lo)
+        acc = np.bincount(cell.ravel(), mass.ravel(), rows * block
+                          ).reshape((rows,) + shape)
+        # sub axes: row, g0, g1, s0, s1, kappa; the S_{1-D} register is S1
+        # when d = 0 (sum axis 4) and S0 when d = 1 (sum axis 3)
+        total = 0.0
+        for sub, axis in ((acc[:, :, :, 0], 4), (acc[:, :, :, 1], 3)):
+            sub = sub - sub.sum(axis=axis, keepdims=True) / s_out
+            total = total + np.abs(sub).reshape(rows, -1).sum(axis=1)
+        out[lo:lo + rows] = 0.5 * total
+    return out
 
 
 def _part_value(n, idx) -> np.ndarray:

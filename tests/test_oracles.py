@@ -416,6 +416,13 @@ def _brute_ot12_distance(strategy, n, ell, alpha):
     return total / len(members) ** 2
 
 
+def _representatives(k, ell, vals):
+    if k == 0:
+        return np.zeros((1, len(vals)), np.uint32), np.ones(1)
+    table, weight = HashFamily(k, ell).representatives()
+    return table[:, vals], weight
+
+
 class TestHashAverageOracles:
     """The audits average over weighted row-space representatives or one
     Walsh-Hadamard pass; these properties re-derive each average over
@@ -442,14 +449,9 @@ class TestHashAverageOracles:
                                + 1j * rng.normal(size=(dim_k, dim_k)))
         ops = vecs[:, :, None] * vecs[:, None, :].conj()
 
-        def reps(k, vals):
-            if k == 0:
-                return np.zeros((1, len(vals)), np.uint32), np.ones(1)
-            table, weight = HashFamily(k, ell).representatives()
-            return table[:, vals], weight
-
-        got = _pointer_distance(w, dvec, kap, dim_k, reps(k0, x0),
-                                reps(k1, x1), ell)
+        got = _pointer_distance(w[None], dvec[None], kap, dim_k,
+                                _representatives(k0, ell, x0),
+                                _representatives(k1, ell, x1), ell)[0]
 
         def members(k, vals):
             table = HashFamily(k, ell).eval_table() if k \
@@ -533,8 +535,8 @@ class TestHashAverageOracles:
                     grid[x0_val, x1_val] = m / m.sum()
                     dvec = split_pointer(grid, alpha)[0][x1_val]
                     w = m * 2.0 ** (-n)
-                    got = _pointer_distance(w, dvec, kap, len(ops), *hashed,
-                                            ell)
+                    got = _pointer_distance(w[None], dvec[None], kap,
+                                            len(ops), *hashed, ell)[0]
                     want = eigvalsh_form(w, dvec, kap, ops, *hashed)
                     assert got == pytest.approx(want, abs=1e-12)
 
@@ -599,6 +601,78 @@ class TestHashAverageOracles:
             dist = sum(0.5 * np.abs(u @ row.reshape(nx, nx) @ v.T).sum()
                        for row in table / nx ** 2) / fam.size ** 2
             assert rec["ndlf_distance"] == pytest.approx(dist, abs=1e-12)
+
+
+class TestStackedPointerPasses:
+    """The ot12 audit and the splitting reduction run the pointer and the
+    block distance over stacks of y rows, in row chunks; every stacked row
+    must equal its own single-row call exactly, at every chunk size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hst.integers(0, 3), hst.integers(0, 3), hst.integers(1, 2),
+           hst.integers(0, 2), hst.integers(1, 6), hst.integers(0, 14),
+           hst.integers(0, 2 ** 32 - 1))
+    @example(2, 2, 1, 1, 5, 0, 0)
+    @example(1, 2, 2, 0, 6, 10, 1)
+    def test_stacked_pointer_distance_rows_match_single_rows(
+            self, k0, k1, ell, q, n_rows, log_budget, seed):
+        # log_budget 0 runs one row per chunk; larger budgets put a chunk
+        # boundary inside the stack or hold it whole
+        from bqsm.protocols import security
+        rng = np.random.default_rng(seed)
+        xs = np.arange(1 << (k0 + k1))
+        x0, x1 = xs >> k1, xs & ((1 << k1) - 1)
+        w = rng.random((n_rows, len(xs))) \
+            * (rng.random((n_rows, len(xs))) < 0.8)
+        dvec = rng.integers(0, 2, (n_rows, 1 << k1))[:, x1]
+        dim_k = 1 << q
+        kap = rng.integers(0, dim_k, len(xs))
+        sides = (_representatives(k0, ell, x0),
+                 _representatives(k1, ell, x1))
+        single = [security._pointer_distance(w[i:i + 1], dvec[i:i + 1], kap,
+                                             dim_k, *sides, ell)[0]
+                  for i in range(n_rows)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(security, "_ROW_CHUNK_CELLS", 1 << log_budget)
+            stacked = security._pointer_distance(w, dvec, kap, dim_k,
+                                                 *sides, ell)
+        assert stacked.shape == (n_rows,)
+        assert stacked.tolist() == single
+
+    @settings(max_examples=60, deadline=None)
+    @given(hst.lists(hst.integers(1, 3), min_size=0, max_size=2),
+           hst.integers(0, 3), hst.integers(0, 3), hst.floats(0.0, 7.0),
+           hst.integers(0, 2 ** 32 - 1))
+    def test_stacked_split_pointer_matches_slices(self, lead, k0, k1, alpha,
+                                                  seed):
+        from bqsm.entropy import split_pointer
+        rng = np.random.default_rng(seed)
+        m = rng.random(tuple(lead) + (1 << k0, 1 << k1)) ** 3
+        m /= m.sum(axis=(-2, -1), keepdims=True)
+        c, peak = split_pointer(m, alpha)
+        assert c.shape == m.shape[:-2] + m.shape[-1:]
+        assert peak.shape == m.shape[:-2]
+        for idx in np.ndindex(*m.shape[:-2]):
+            c_i, peak_i = split_pointer(m[idx], alpha)
+            assert c[idx].tolist() == c_i.tolist() and peak[idx] == peak_i
+            # the construction, written out for one matrix
+            p_x1 = m[idx].sum(axis=0)
+            one = p_x1 >= 2.0 ** (-alpha / 2.0)
+            assert c_i.tolist() == one.astype(int).tolist()
+            assert peak_i == max(np.where(one, 0.0, p_x1).max(),
+                                 (m[idx] * one).sum(axis=1).max())
+
+    @pytest.mark.parametrize("budget", [1, 1 << 10])
+    def test_ot12_audit_is_the_same_at_every_row_chunk(self, budget):
+        from bqsm.protocols import security
+        cases = ((store_prefix(0), 4, 2), (store_prefix(1), 5, 1),
+                 (breitbart_strategy(), 4, 1))
+        for strategy, n, ell in cases:
+            want = sender_security_distance(strategy, "ot12", n, ell=ell)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(security, "_ROW_CHUNK_CELLS", budget)
+                got = sender_security_distance(strategy, "ot12", n, ell=ell)
+            assert got == want
 
 
 class TestRabinSecurityOracle:
