@@ -350,11 +350,11 @@ def splitting_reduction(n: int, ell: int, kappa: float,
     links["promise"] = h_inf - r_min
     # split per y: D(x1, y) = 1 iff P(X1 = x1 | Y=y) >= 2^{-alpha/2};
     # worst-case per-y min-entropy of (X_{1-D}, D) must reach alpha/2
-    cols = channel.table * (1.0 / (1 << (2 * n)))
-    py = cols.sum(axis=1)
+    p_x = 1.0 / (1 << (2 * n))
+    py = (channel.table * p_x).sum(axis=1)
     ys = np.nonzero(py > 0)[0]
     d_y, peaks = split_pointer(
-        (cols[ys] / py[ys, None]).reshape(-1, nx, nx), alpha)
+        (channel.table[ys] * p_x / py[ys, None]).reshape(-1, nx, nx), alpha)
     d_of = dict(zip(ys.tolist(), d_y))
     peak = peaks.max(initial=0.0)
     links["splitting"] = (-math.log2(peak) if peak else math.inf) - alpha / 2

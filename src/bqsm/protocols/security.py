@@ -300,7 +300,7 @@ def _ot12_sender_security(strategy, n, ell, lam) -> dict:
     links = {"uncertainty": h_unc - (0.5 - 2 * lam) * n}
     alpha = -math.log2(max(col.max() / col.sum() for col in cols))
 
-    # pass 2: splitting pointer and exact distance, per (theta, y) block
+    # pass 2: splitting pointer and exact distance, per basis string
     eps_prime = 2.0 ** (-max(1.0, n / 4.0))
     peak, dist = 0.0, 0.0
     kap, dim_k = _part_value(n, kept_idx), 1 << len(kept_idx)
