@@ -98,10 +98,23 @@ def _grid_specs():
             add("qkd-rate-check", **params)
     for eve_param in (3, 4, 6):
         add("qkd-rate-check", m=4, eve="store_subset", eve_param=eve_param)
+    for m in (4, 5):
+        add("qkd-rate-check", m=m, eve="intercept_resend")
+        for eve, eve_param in (("trivial", None), ("intercept_resend", None),
+                               ("store_subset", "2")):
+            params = {"alphabet": "bb84", "m": m, "eve": eve}
+            if eve_param is not None:
+                params["eve_param"] = eve_param
+            add("qkd-rate-check", **params)
     for strategy in ("store_prefix", "measure_fixed", "breitbart"):
         for n in (3, 4, 5, 6, 7):
             add("pa-quantum", n=n, q=1, strategy=strategy, ell=1)
     add("pa-quantum", n=4, q=2, ell=2)
+    for n in (3, 5):
+        for q in (1, 2):
+            add("pa-quantum", n=n, q=q, ell=2)
+    for n in (4, 5):
+        add("pa-quantum", n=n, q=1, ell=3)
     for protocol in ("rabin", "ot12"):
         for n in (3, 4, 5):
             for q in (0, 1, 2):
