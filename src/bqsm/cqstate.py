@@ -22,7 +22,7 @@ from .errors import InputError, check_cap
 from .hashing import HashFamily, fwht
 from .qstate import DensityOperator, batched_trace_norm, trace_norm
 
-_CLASS_CELLS = 1 << 12  # cells per chunk: 64 KiB at most, reused heap memory
+_CLASS_CELLS = 1 << 14  # cells per chunk: 128 KiB of float64, 256 KiB complex
 _U_CHUNK_CELLS = 1 << 22  # pa_distance stack cells: 64 MiB, one chunk to n=10
 
 
@@ -85,7 +85,8 @@ class CqState:
         if self.rows is None:
             return self._ops[idx] * s
         r = self.rows[idx]
-        return r[:, :, None] * r[:, None, :].conj() * s
+        out = r[:, :, None] * r[:, None, :].conj()
+        return np.multiply(out, s, out=out)
 
     @property
     def ops(self) -> np.ndarray:
@@ -272,7 +273,8 @@ def pa_distance(state: CqState, family: HashFamily,
     blocks, and one class stands for prod_{i<r} (2^l - 2^i) members (times
     2^l offsets when affine); see `HashFamily.row_space_classes`. It is a
     sum over u, taken over dense (u, 2^n, d, d) stacks of consecutive
-    u-blocks of about `_U_CHUNK_CELLS` cells each.
+    u-blocks of about `_U_CHUNK_CELLS` cells each, real when their entries
+    are.
     """
     x_idx = _domain_index(state.x, family)
     de = state.dim_e
@@ -282,9 +284,13 @@ def pa_distance(state: CqState, family: HashFamily,
     for lo in range(0, len(blocks), step):
         chunk = blocks[lo:lo + step]
         idx = np.concatenate(chunk)
-        stack = np.zeros((len(chunk), 1 << family.n, de, de), dtype=complex)
-        stack[state.u[idx] - lo, x_idx[idx]] = state._scaled(idx)
+        scaled = state._scaled(idx)
+        scaled = scaled if scaled.imag.any() else scaled.real
+        stack = np.zeros((len(chunk), 1 << family.n, de, de), scaled.dtype)
+        stack[state.u[idx] - lo, x_idx[idx]] = scaled
+        del scaled  # freed before the transforms, which double the stack
         exact += _class_average(stack, family)
+        del stack  # and before the next chunk's entries
     bound = 0.5 * 2.0 ** (-0.5 * (_h_min(state, epsilon_smooth) - state.q
                                   - family.ell)) + epsilon_smooth
     return exact, bound
@@ -297,7 +303,7 @@ def _class_average(stack: np.ndarray, family: HashFamily) -> float:
     ||T/2^l||_1. With W(w) = sum_x (-1)^{w.x} p_x rho_x, a rank-r class
     has B_z = 2^-r sum_v (-1)^{v.z} W(C^T v): W at the 2^r points of its
     span, then one 2^r-point transform, in chunks of about `_CLASS_CELLS`
-    gathered cells."""
+    gathered cells, in the stack's dtype (float64 when it is real)."""
     n_out = 1 << family.ell
     spectrum = fwht(stack, axis=1)
     avg = spectrum[:, 0] / n_out

@@ -65,6 +65,7 @@ class HashFamily:
         self.n = n
         self.ell = ell
         self.kind = kind
+        self._spans = {}  # rank -> read-only span table, built on first use
 
     @property
     def size(self) -> int:
@@ -163,18 +164,21 @@ class HashFamily:
         Yields (r, span, count) per rank r <= min(n, l): span[i, v] = C^T v
         lists the i-th row space of rank r, with row j of C at bit r-1-j of
         v (so the row at bit b is span[i, 2^b]); prod_{i<r} (2^l - 2^i)
-        members share each, times 2^l if affine.
+        members share each, times 2^l if affine. Spans are built once.
         """
         self._check_size()
         for r in range(min(self.n, self.ell) + 1):
             count = math.prod((1 << self.ell) - (1 << i) for i in range(r))
             count <<= self.ell if self.kind == "affine" else 0
-            rows = _echelon_rows(self.n, r)
-            # C^T v is linear in v: double the span once per row, last first
-            span = np.zeros((len(rows), 1), dtype=np.uint32)
-            for i in range(r - 1, -1, -1):
-                span = np.hstack([span, span ^ rows[:, i, None]])
-            yield r, span, count
+            if r not in self._spans:
+                rows = _echelon_rows(self.n, r)
+                # C^T v is linear in v: double the span per row, last first
+                span = np.zeros((len(rows), 1), dtype=np.uint32)
+                for i in range(r - 1, -1, -1):
+                    span = np.hstack([span, span ^ rows[:, i, None]])
+                span.flags.writeable = False
+                self._spans[r] = span
+            yield r, self._spans[r], count
 
     def representatives(self) -> tuple[np.ndarray, np.ndarray]:
         """(table, weight): one member per row-space class, table[i, x] =

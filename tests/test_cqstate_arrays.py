@@ -115,11 +115,12 @@ def test_rabin_cq_state_matches_per_entry_loops(n, name, seed, masked):
     check_against_oracles(state, *rabin_entries_oracle(blocks, p_total))
 
 
-def random_state(seed, n, q, groups, pure):
+def random_state(seed, n, q, groups, pure, real=False):
     """A random cq-state over packed n-bit x and int labels 0..groups-1
     (whose repr order differs from their numeric order from 11 labels on),
-    built through the array constructor with complex amplitude rows or
-    mixed operators, plus its per-entry (xs, us, ps, ops) lists."""
+    built through the array constructor with complex (or, if `real`, real)
+    amplitude rows or mixed operators, plus its per-entry (xs, us, ps, ops)
+    lists."""
     rng = np.random.default_rng(seed)
     xs, us, states = [], [], []
     d = 1 << q
@@ -130,11 +131,15 @@ def random_state(seed, n, q, groups, pure):
             xs.append(x)
             us.append(u)
             if pure:
-                v = rng.normal(size=d) + 1j * rng.normal(size=d)
+                v = rng.normal(size=d)
+                if not real:
+                    v = v + 1j * rng.normal(size=d)
                 states.append(v / np.linalg.norm(v))
             else:
-                states.append(random_density(q, rng).matrix if q
-                              else np.ones((1, 1), dtype=complex))
+                m = random_density(q, rng).matrix if q \
+                    else np.ones((1, 1), dtype=complex)
+                # the real part of a density operator is one
+                states.append(m.real if real else m)
     p = rng.random(len(xs)) * (rng.random(len(xs)) > 0.2)
     p[0] += 0.1
     ps = list(p / p.sum())
@@ -148,30 +153,42 @@ def random_state(seed, n, q, groups, pure):
 @settings(max_examples=40, deadline=None)
 @given(hst.integers(0, 2 ** 32), hst.integers(1, 4), hst.integers(1, 3),
        hst.integers(0, 2), hst.integers(1, 12), hst.booleans(),
-       hst.sampled_from([1, 7, 100, 1 << 22]))
-@example(3, 3, 2, 1, 12, True, 1)
-@example(4, 2, 1, 2, 3, False, 1)
-@example(5, 4, 1, 1, 11, True, 100)
+       hst.sampled_from([1, 7, 100, 1 << 22]), hst.booleans(),
+       hst.sampled_from([1, 1 << 12, 1 << 14]))
+@example(3, 3, 2, 1, 12, True, 1, False, 1 << 14)
+@example(4, 2, 1, 2, 3, False, 1, False, 1 << 14)
+@example(5, 4, 1, 1, 11, True, 100, False, 1 << 14)
+@example(6, 4, 2, 2, 3, True, 1, True, 1)
+@example(7, 3, 3, 2, 4, False, 1 << 22, True, 1 << 12)
 def test_chunked_pa_distance_matches_slow_oracle(seed, n, ell, q, groups,
-                                                 pure, budget):
+                                                 pure, budget, real,
+                                                 class_cells):
+    # u-block chunks of every size, class-average chunks of one cell to
+    # 2^14, real stacks (float64) and complex ones
     fam = HashFamily(n, ell, "linear")
     assume(fam.size <= 1 << 10)
-    state, (xs, us, ps, ops) = random_state(seed, n, q, groups, pure)
+    state, (xs, us, ps, ops) = random_state(seed, n, q, groups, pure, real)
     check_against_oracles(state, xs, us, ps, ops)
-    chunks = []
+    chunks, dtypes = [], set()
 
     def counting(stack, family):
         chunks.append(len(stack))
+        dtypes.add(stack.dtype)
         return average(stack, family)
 
     average = cqstate._class_average
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cqstate, "_U_CHUNK_CELLS", budget)
+        mp.setattr(cqstate, "_CLASS_CELLS", class_cells)
         mp.setattr(cqstate, "_class_average", counting)
         exact, bound = pa_distance(state, fam)
     per_chunk, n_u = max(1, budget // ((1 << 2 * q) << n)), len(state.labels)
     assert chunks == [min(per_chunk, n_u - lo)
                       for lo in range(0, n_u, per_chunk)]
+    # real states give real stacks; complex ones at q >= 1 a complex
+    # stack at least (complex q=0 rows may round to a complex stack)
+    if real or q:
+        assert (np.dtype(complex) in dtypes) == (not real)
     # the oracle reads the per-entry operators built above
     slow, slow_bound = pa_distance_slow(CqState(xs, ps, ops, q, us), fam)
     assert exact == pytest.approx(slow, abs=1e-12, rel=0)

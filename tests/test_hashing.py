@@ -120,6 +120,19 @@ class TestHashFamily:
                     assert (seen, total) == (classes, fam.size)
                     assert len(set(spaces)) == classes
 
+    def test_row_space_spans_built_once_and_read_only(self):
+        # the averages reuse one family over many states and u-chunks
+        for fam in (HashFamily(4, 2, "linear"), HashFamily(3, 3, "affine")):
+            first = list(fam.row_space_classes())
+            again = list(fam.row_space_classes())
+            assert [(r, count) for r, _, count in first] \
+                == [(r, count) for r, _, count in again]
+            for (_, span, _), (_, same, _) in zip(first, again):
+                assert same is span
+                assert not span.flags.writeable
+                with pytest.raises(ValueError):
+                    span[0, 0] = 1
+
     def test_row_space_classes_group_members_by_kernel(self):
         # a member's row space is fixed by its kernel {x : F(x) = F(0)};
         # each representative must be one kernel, weigh the share of members

@@ -6,12 +6,12 @@ from hypothesis import example, given, settings, strategies as hst
 
 from bqsm.errors import CapacityError, InputError
 from bqsm.qstate import (SINGLE_QUBIT_BASES, Basis, DensityOperator,
-                         PureState, bell_basis, haar_state, haar_unitary,
-                         measure, measure_per_qubit, operator_norm,
-                         partial_trace, prepare_bb84, product_basis_matrix,
-                         projector_onto, random_density, rank1_trace_norm,
-                         single_qubit_basis, tensor, trace_distance,
-                         trace_norm)
+                         PureState, batched_trace_norm, bell_basis,
+                         haar_state, haar_unitary, measure,
+                         measure_per_qubit, operator_norm, partial_trace,
+                         prepare_bb84, product_basis_matrix, projector_onto,
+                         random_density, rank1_trace_norm, single_qubit_basis,
+                         tensor, trace_distance, trace_norm)
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -229,6 +229,51 @@ class TestDistances:
         # rows of a stack are independent
         both = rank1_trace_norm(np.stack([a, b]), np.stack([b, a]))
         assert both == pytest.approx([want, want], abs=1e-12, rel=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.integers(0, 2 ** 32), hst.integers(1, 6), hst.integers(1, 40),
+           hst.booleans(),
+           hst.sampled_from(["contiguous", "fwht", "matrix-major",
+                             "strided", "transposed"]),
+           hst.lists(hst.sampled_from(["zero", "diagonal", "sparse",
+                                       "full"]), min_size=1, max_size=4))
+    @example(0, 4, 12, True, "matrix-major", ["diagonal", "zero"])
+    @example(0, 4, 40, False, "fwht", ["diagonal", "zero"])
+    @example(1, 3, 30, False, "strided", ["sparse"])
+    def test_batched_trace_norm_matches_eigvalsh(self, seed, d, count, real,
+                                                 layout, kinds):
+        # stacks mixing zero, diagonal and (partly) full Hermitian
+        # matrices, real or complex, in the memory layouts the callers
+        # pass: the closed forms and the diagonal shortcut against the
+        # eigenvalues of every matrix
+        rng = np.random.default_rng(seed)
+        stack = np.zeros((count, d, d), dtype=float if real else complex)
+        for m, kind in zip(stack, rng.choice(kinds, count)):
+            g = rng.normal(size=(d, d))
+            if not real:
+                g = g + 1j * rng.normal(size=(d, d))
+            h = (g + g.conj().T) / 2
+            if kind == "diagonal":
+                h = np.diag(np.diag(h).real)
+            elif kind == "sparse":
+                keep = np.triu(rng.random((d, d)) < 0.5, 1)
+                h = np.where(keep | keep.T | np.eye(d, dtype=bool), h, 0)
+            m[...] = 0 if kind == "zero" else h
+        stack = stack.reshape(2 - count % 2, -1, d, d)
+        if layout == "fwht":   # batch axes permuted, as fwht leaves them
+            stack = np.moveaxis(np.moveaxis(stack, 1, 0).copy(), 0, 1)
+        elif layout == "matrix-major":
+            stack = np.moveaxis(np.moveaxis(stack, -1, 0).copy(), 0, -1)
+            stack = np.moveaxis(np.moveaxis(stack, -2, 0).copy(), 0, -2)
+        elif layout == "strided":
+            stack = np.repeat(stack, 2, axis=0)[::2]
+        elif layout == "transposed":   # the same Hermitian matrices
+            stack = stack.swapaxes(-1, -2).conj()
+        want = float(np.abs(np.linalg.eigvalsh(stack)).sum())
+        got = batched_trace_norm(stack)
+        assert got == pytest.approx(want, abs=1e-12, rel=0)
+        if d >= 3 and set(kinds) <= {"zero", "diagonal"}:
+            assert got == want
 
     def test_operator_norm_basics(self):
         assert operator_norm(np.eye(5)) == pytest.approx(1.0)
