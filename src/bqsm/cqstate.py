@@ -273,8 +273,7 @@ def pa_distance(state: CqState, family: HashFamily,
     blocks, and one class stands for prod_{i<r} (2^l - 2^i) members (times
     2^l offsets when affine); see `HashFamily.row_space_classes`. It is a
     sum over u, taken over dense (u, 2^n, d, d) stacks of consecutive
-    u-blocks of about `_U_CHUNK_CELLS` cells each, real when their entries
-    are.
+    u-blocks of about `_U_CHUNK_CELLS` cells each (float64 if all real).
     """
     x_idx = _domain_index(state.x, family)
     de = state.dim_e

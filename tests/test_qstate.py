@@ -243,9 +243,9 @@ class TestDistances:
     def test_batched_trace_norm_matches_eigvalsh(self, seed, d, count, real,
                                                  layout, kinds):
         # stacks mixing zero, diagonal and (partly) full Hermitian
-        # matrices, real or complex, in the memory layouts the callers
-        # pass: the closed forms and the diagonal shortcut against the
-        # eigenvalues of every matrix
+        # matrices, real or complex, in several memory layouts: the
+        # closed forms and the diagonal shortcut against the eigenvalues
+        # of every matrix
         rng = np.random.default_rng(seed)
         stack = np.zeros((count, d, d), dtype=float if real else complex)
         for m, kind in zip(stack, rng.choice(kinds, count)):
