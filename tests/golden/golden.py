@@ -21,8 +21,8 @@ is 1 when any spec changed, else 0.
 Groups: `registry` (every experiment at its defaults, seed 1616),
 `workloads` (every `perfbench/workloads.py` spec at its workload seed)
 and `grids` (parameter grids around privacy amplification, the
-uncertainty relations, the QKD rate check, sender security, the dense
-adversary engine and the classical OT criteria).
+uncertainty relations, QKD runs, the QKD rate check, sender security,
+the dense adversary engine and the classical OT criteria).
 """
 
 import os
@@ -106,6 +106,12 @@ def _grid_specs():
             if eve_param is not None:
                 params["eve_param"] = eve_param
             add("qkd-rate-check", **params)
+    for alphabet in ("bb84", "six-state"):
+        for p in (0, 0.01, 0.05, 0.11):
+            for code in ("none", "hamming", "rep5"):
+                for symbols in (1000, 7777, 40000):
+                    add("qkd-run", alphabet=alphabet, p=p, code=code,
+                        symbols=symbols)
     for strategy in ("store_prefix", "measure_fixed", "breitbart"):
         for n in (3, 4, 5, 6, 7):
             add("pa-quantum", n=n, q=1, strategy=strategy, ell=1)
