@@ -62,9 +62,10 @@ PERFECT = ChannelModel()
 
 def honest_outcomes(rng, x: np.ndarray, match, phi: float) -> np.ndarray:
     """Honest measurement of the BB84 qubits |x_i>: positions measured in
-    the preparation basis (match) return x_i flipped with probability phi,
-    the others a fair coin. Draws n flip uniforms, then n coins."""
+    the preparation basis (match, a bool or one per qubit) return x_i
+    flipped with probability phi, the others a fair coin. Draws n flip
+    uniforms, then n coins."""
     n = len(x)
     flips = rng.random(n) < phi
-    return np.where(match, x ^ flips,
-                    rng.integers(0, 2, size=n)).astype(np.uint8)
+    coins = rng.integers(0, 2, size=n).astype(np.uint8)
+    return coins ^ ((x ^ flips ^ coins) & match)

@@ -29,6 +29,8 @@ class LinearCode:
         check_cap("coset-table", "length", self.length)
         if self.s >= self.length:
             raise InputError("syndrome length must be below block length")
+        # a syndrome's row of the coset table, first bit most significant
+        self._weights = 1 << np.arange(self.s - 1, -1, -1, dtype=np.int64)
         self.leaders = self._coset_leaders()
         self.radius = self._design_radius()
         self.design_phi = design_phi
@@ -46,8 +48,7 @@ class LinearCode:
         return (self.h @ bits.T % 2).T.astype(np.uint8)
 
     def _syndrome_index(self, bits) -> int:
-        syn = self.syndrome(bits)
-        return int(syn @ (1 << np.arange(self.s - 1, -1, -1, dtype=np.int64)))
+        return int(self.syndrome(bits) @ self._weights)
 
     def _coset_leaders(self) -> np.ndarray:
         table = np.full((1 << self.s, self.length), -1, dtype=np.int8)
@@ -81,13 +82,11 @@ class LinearCode:
         return max(radius, 0)
 
     def decode(self, received: np.ndarray, syn: np.ndarray) -> np.ndarray:
-        """Nearest-coset correction of `received` toward the word with the
-        given syndrome."""
+        """Nearest-coset correction of each block (last axis) of `received`
+        toward the word with the matching syndrome: one table gather."""
         received = np.asarray(received, dtype=np.uint8)
-        delta = (self.syndrome(received) ^ np.asarray(syn, dtype=np.uint8))
-        idx = int(delta @ (1 << np.arange(self.s - 1, -1, -1,
-                                          dtype=np.int64)))
-        return received ^ self.leaders[idx]
+        delta = self.syndrome(received) ^ np.asarray(syn, dtype=np.uint8)
+        return received ^ self.leaders[delta @ self._weights]
 
     def block_failure_probability(self, phi: float) -> float:
         """Probability that more than `radius` flips hit one block."""
@@ -101,26 +100,26 @@ class LinearCode:
     def chunk_count(self, n_bits: int) -> int:
         return (n_bits + self.length - 1) // self.length
 
-    def syndrome_chunked(self, bits: np.ndarray) -> np.ndarray:
-        bits = np.asarray(bits, dtype=np.uint8)
+    def _blocks(self, bits: np.ndarray) -> np.ndarray:
+        """`bits` zero-padded to whole blocks, one block per row."""
         chunks = self.chunk_count(len(bits))
-        padded = np.zeros(chunks * self.length, dtype=np.uint8)
-        padded[:len(bits)] = bits
-        return self.syndrome(padded.reshape(chunks, self.length)).reshape(-1)
+        padded = np.zeros((chunks, self.length), dtype=np.uint8)
+        padded.reshape(-1)[:len(bits)] = bits
+        return padded
+
+    def syndrome_chunked(self, bits: np.ndarray) -> np.ndarray:
+        return self.syndrome(self._blocks(bits)).reshape(-1)
 
     def decode_chunked(self, received: np.ndarray, syn: np.ndarray
                        ) -> np.ndarray:
-        received = np.asarray(received, dtype=np.uint8)
-        n = len(received)
-        chunks = self.chunk_count(n)
-        padded = np.zeros(chunks * self.length, dtype=np.uint8)
-        padded[:n] = received
-        syn = np.asarray(syn, dtype=np.uint8).reshape(chunks, self.s)
-        out = np.empty((chunks, self.length), dtype=np.uint8)
-        for c in range(chunks):
-            out[c] = self.decode(padded[c * self.length:(c + 1) * self.length],
-                                 syn[c])
-        return out.reshape(-1)[:n]
+        blocks = self._blocks(received)
+        syn = np.asarray(syn, dtype=np.uint8)
+        if syn.size != blocks.shape[0] * self.s:
+            raise InputError(f"syndrome length {syn.size} does not match "
+                             f"{blocks.shape[0] * self.s} for "
+                             f"{len(received)} received bits")
+        out = self.decode(blocks, syn.reshape(-1, self.s))
+        return out.reshape(-1)[:len(received)]
 
     def failure_probability_chunked(self, n_bits: int, phi: float) -> float:
         p_block = self.block_failure_probability(phi)

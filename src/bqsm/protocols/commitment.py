@@ -55,12 +55,12 @@ def run_commitment(b: int, channel: ChannelModel, committer, n: int,
     match = theta == (b != 0)
     x_meas = honest_outcomes(rng, x, match, phi)
     tr.say("C", "open", {"b": b, "x_prime": bits_to_str(x_meas)})
-    mism = int((x[match] != x_meas[match]).sum())
-    allowed = tol * int(match.sum())
-    accept = mism <= allowed + 1e-12
+    mism = int(np.count_nonzero((x != x_meas) & match))
+    checked = int(np.count_nonzero(match))
+    accept = mism <= tol * checked + 1e-12
     tr.honest = {"b": b, "x": bits_to_str(x),
                  "theta": bases_to_str(theta),
-                 "mismatches": mism, "checked": int(match.sum()),
+                 "mismatches": mism, "checked": checked,
                  "accepted": bool(accept)}
     return tr
 
