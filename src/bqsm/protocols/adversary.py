@@ -182,7 +182,7 @@ def _apply(a: np.ndarray, kept, factors=(), bases=()) -> np.ndarray:
     for k, m in blocks:
         a = a.reshape(1 << k, -1)
         identity = k <= _BLOCK and np.array_equal(m, np.eye(1 << k))
-        a = (a if identity else m @ a).T
+        a = (a if identity else (m if m.imag.any() else m.real) @ a).T
     measured = [w for w in range(total) if w not in kept]
     wires = a.reshape((rows,) + (2,) * total).transpose(
         [1 + w for w in measured] + [0] + [1 + w for w in kept])
@@ -192,7 +192,7 @@ def _apply(a: np.ndarray, kept, factors=(), bases=()) -> np.ndarray:
 
 def _sender_columns(n: int, anc: int, xs, scale=1.0) -> np.ndarray:
     """scale |x>|0^anc> for each x of xs, as columns."""
-    cols = np.zeros((1 << (n + anc), len(xs)), dtype=complex)
+    cols = np.zeros((1 << (n + anc), len(xs)))
     cols[np.asarray(xs) << anc, np.arange(len(xs))] = scale
     return cols
 

@@ -48,9 +48,10 @@ def purification_gap(n: int, strategy: AdversaryStrategy, thetas) -> float:
     for theta in thetas:
         blocks = epr_blocks_dense(n, strategy)
         direct = direct_blocks_dense(n, strategy, theta) * 2.0 ** (-n / 2.0)
-        epr = np.zeros_like(direct)
-        epr[blocks.ys] = sender_measurement_dense(blocks, theta) \
+        c = sender_measurement_dense(blocks, theta) \
             * np.sqrt(blocks.probs)[:, None, None]
+        epr = np.zeros(direct.shape, np.result_type(direct, c))
+        epr[blocks.ys] = c
         total += 0.5 * float(rank1_trace_norm(epr, direct).sum())
     return total / len(thetas)
 

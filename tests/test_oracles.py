@@ -201,14 +201,21 @@ def _split_by_index(psi, total, kept):
     return out
 
 
+def _real_orthogonal(d, rng):
+    """Haar orthogonal matrix: QR of a real Gaussian matrix with the signs
+    of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)))
+    return q * np.sign(np.diag(r))
+
+
 @hst.composite
 def _dense_cases(draw):
     """(n, strategy, theta, x) over product plans in every single-qubit
-    basis, pairwise Bell measurements and Haar custom unitaries with 0-2
-    ancillas and a random ordered kept subset, with per-qubit sender bases
-    and one sender value x."""
+    basis, pairwise Bell measurements and Haar custom unitaries (complex
+    or real orthogonal) with 0-2 ancillas and a random ordered kept
+    subset, with per-qubit sender bases and one sender value x."""
     n = draw(hst.integers(1, 6))
-    kind = draw(hst.sampled_from(("product", "bell", "custom")))
+    kind = draw(hst.sampled_from(("product", "bell", "custom", "real")))
     if kind == "product":
         n, strategy = draw(_product_strategies(6))
     elif kind == "bell":
@@ -217,12 +224,30 @@ def _dense_cases(draw):
         anc = draw(hst.integers(0, min(2, 7 - n)))
         wires = draw(hst.permutations(range(n + anc)))
         kept = wires[:draw(hst.integers(0, n + anc))]
-        u = haar_unitary(1 << (n + anc),
-                         np.random.default_rng(draw(hst.integers(0, 999))))
+        make = haar_unitary if kind == "custom" else _real_orthogonal
+        u = make(1 << (n + anc),
+                 np.random.default_rng(draw(hst.integers(0, 999))))
         strategy = custom_compression(u, kept, anc)
     theta = draw(hst.lists(hst.sampled_from(_LABELS), min_size=n,
                            max_size=n))
     return n, strategy, theta, draw(hst.integers(0, (1 << n) - 1))
+
+
+def _real_dtypes(n, strategy, theta):
+    """Whether the EPR blocks, the sender measurement and the direct
+    amplitudes are real: each is unless a complex factor enters it. The
+    only complex factors are the circ basis and a complex custom unitary;
+    on a wire measured in circ with sender basis circ, W^dagger V_theta
+    is the identity, so the direct amplitudes stay real there."""
+    if strategy.kind == "custom":
+        epr = not np.iscomplexobj(strategy.params[0])
+        return epr, epr and "circ" not in theta, epr and "circ" not in theta
+    plan = (strategy.product_plan(n) if strategy.is_product()
+            else [("measure", "bell")] * n)
+    measured = [step[-1] for step in plan]
+    epr = "circ" not in measured
+    return epr, epr and "circ" not in theta, all(
+        (w == "circ") == (t == "circ") for w, t in zip(measured, theta))
 
 
 class TestDenseEngineProperty:
@@ -230,18 +255,28 @@ class TestDenseEngineProperty:
     whole unitary U as a Kronecker chain, V_theta = kron of the sender's
     bases, and EPR blocks psi[x] = 2^{-n/2} U |x>|0^anc>, sender
     measurement V_theta^dagger B_y and direct amplitudes
-    U |x>_theta |0^anc>, split wire by wire."""
+    U |x>_theta |0^anc>, split wire by wire. Each output is float64 when
+    every factor it involves is real and complex128 otherwise, and the
+    purification gap assembled from them matches the one from the
+    explicit construction, with no warning (a complex array cast to a
+    real one warns)."""
 
+    @pytest.mark.filterwarnings("error")
     @settings(max_examples=80, deadline=None)
     @given(_dense_cases())
     @example((4, bell_pairwise_xor(), ["x", "circ", "+", "breitbart"], 6))
     @example((3, measure_fixed(["circ", "x", "breitbart"]),
               ["circ", "x", "+"], 5))
+    @example((2, measure_fixed(["circ", "x"]), ["circ", "+"], 1))
     def test_engine_matches_kron_construction(self, case):
         from bqsm.protocols.adversary import (direct_blocks_dense,
                                               epr_blocks_dense,
                                               sender_measurement_dense)
+        from bqsm.protocols.security import purification_gap
+        from bqsm.qstate import rank1_trace_norm
         n, strategy, theta, x = case
+        dtypes = [np.float64 if real else np.complex128
+                  for real in _real_dtypes(n, strategy, theta)]
         u, kept, anc = _kron_unitary(n, strategy)
         total = n + anc
         cols = np.arange(1 << n) << anc
@@ -260,10 +295,17 @@ class TestDenseEngineProperty:
         assert np.abs(got - v.conj().T @ amps).max() <= 1e-12
 
         direct = _split_by_index((u[:, cols] @ v).T, total, kept)
-        assert np.abs(direct_blocks_dense(n, strategy, theta)
-                      - direct).max() <= 1e-12
+        got_direct = direct_blocks_dense(n, strategy, theta)
+        assert np.abs(got_direct - direct).max() <= 1e-12
         one = direct_blocks_dense(n, strategy, theta, [x])
         assert np.abs(one - direct[:, x:x + 1]).max() <= 1e-12
+        assert [blocks.amps.dtype, got.dtype, got_direct.dtype,
+                one.dtype] == dtypes + dtypes[-1:]
+
+        epr = np.zeros_like(direct)
+        epr[ys] = (v.conj().T @ amps) * np.sqrt(p[ys])[:, None, None]
+        gap = 0.5 * rank1_trace_norm(epr, direct * 2.0 ** (-n / 2)).sum()
+        assert abs(purification_gap(n, strategy, [theta]) - gap) <= 1e-12
 
 
 @hst.composite

@@ -201,17 +201,24 @@ class TestDistances:
     @settings(max_examples=200, deadline=None)
     @given(hst.integers(0, 2 ** 32), hst.integers(1, 16),
            hst.sampled_from(["random", "zero_a", "zero_b", "zero_both",
-                             "equal", "near"]))
-    @example(0, 1, "near")
-    @example(1, 16, "near")
-    @example(2, 5, "zero_a")
-    @example(3, 7, "equal")
-    def test_rank1_trace_norm_matches_eigvalsh(self, seed, d, case):
+                             "equal", "near"]), hst.booleans())
+    @example(0, 1, "near", False)
+    @example(1, 16, "near", False)
+    @example(2, 5, "zero_a", False)
+    @example(3, 7, "equal", False)
+    @example(0, 1, "near", True)
+    @example(1, 16, "near", True)
+    @example(4, 9, "random", True)
+    def test_rank1_trace_norm_matches_eigvalsh(self, seed, d, case, real):
         # the closed form against the eigenvalues of the explicit
-        # difference of outer products, including nearly parallel vectors
+        # difference of outer products, including nearly parallel vectors,
+        # on complex128 and on float64 vectors (the dense engine's real
+        # strategies)
         rng = np.random.default_rng(seed)
 
         def vec():
+            if real:
+                return rng.normal(size=d)
             return rng.normal(size=d) + 1j * rng.normal(size=d)
 
         a, b = vec(), vec()
