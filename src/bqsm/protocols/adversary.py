@@ -20,7 +20,9 @@ Two engines evaluate strategies exactly:
   product plan, a 4x4 per Bell pair, the whole unitary for `custom`.
   `_apply` merges them and the sender's per-qubit bases into blocks of a
   few wires, one gemm and one 2-D transpose each; no Kronecker product
-  of all wires is formed.
+  of all wires is formed. A block with a real matrix multiplies in
+  float64, so real strategies and bases stay float64 end to end; only a
+  `circ` basis or a complex custom unitary brings in complex128.
 """
 
 from __future__ import annotations
@@ -165,8 +167,9 @@ def _apply(a: np.ndarray, kept, factors=(), bases=()) -> np.ndarray:
 
     Adjacent wires merge into blocks of up to _BLOCK wires. A block costs
     one gemm on its wires, which lead the rows (none if it is the
-    identity), and one 2-D transpose that moves them behind R; after the
-    last block the wires are in order again and one copy splits them."""
+    identity, real if its matrix is), and one 2-D transpose that moves
+    them behind R; after the last block the wires are in order again and
+    one copy splits them."""
     total, rows = a.shape[0].bit_length() - 1, a.shape[1]
     mats, blocks, w = dict(factors), [], 0
     while w < total:
