@@ -241,7 +241,8 @@ def _real_dtypes(n, strategy, theta):
     is the identity, so the direct amplitudes stay real there."""
     if strategy.kind == "custom":
         epr = not np.iscomplexobj(strategy.params[0])
-        return epr, epr and "circ" not in theta, epr and "circ" not in theta
+        sender = epr and "circ" not in theta
+        return epr, sender, sender
     plan = (strategy.product_plan(n) if strategy.is_product()
             else [("measure", "bell")] * n)
     measured = [step[-1] for step in plan]
